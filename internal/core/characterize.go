@@ -51,7 +51,6 @@ func CharacterizeSegment(dev device.Device, segAddr int, opts CharacterizeOption
 	if reads < 0 || reads%2 == 0 {
 		return nil, fmt.Errorf("core: reads must be odd and positive, got %d", reads)
 	}
-	geom := dev.Geometry()
 	maxT := opts.Max
 	if maxT == 0 || maxT > dev.NominalEraseTime() {
 		maxT = dev.NominalEraseTime()
@@ -61,19 +60,9 @@ func CharacterizeSegment(dev device.Device, segAddr int, opts CharacterizeOption
 	}
 	defer dev.Lock()
 
-	allZeros := make([]uint64, geom.WordsPerSegment())
 	var points []CharacterizePoint
 	for tpe := time.Duration(0); tpe <= maxT; tpe += step {
-		if err := dev.EraseSegment(segAddr); err != nil {
-			return nil, err
-		}
-		if err := dev.ProgramBlock(segAddr, allZeros); err != nil {
-			return nil, err
-		}
-		if err := dev.PartialEraseSegment(segAddr, tpe); err != nil {
-			return nil, err
-		}
-		_, c1, c0, err := AnalyzeSegment(dev, segAddr, reads)
+		c1, c0, err := partialEraseRound(dev, segAddr, tpe, reads, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -103,28 +92,15 @@ func AllErasedTime(points []CharacterizePoint) (time.Duration, bool) {
 // that lived through heavy P/E cycling resist (large count). The segment
 // content is destroyed.
 func DetectStress(dev device.Device, segAddr int, tPEW time.Duration, reads int) (programmed int, err error) {
-	if reads == 0 {
-		reads = 1
-	}
-	geom := dev.Geometry()
-	if tPEW <= 0 {
-		return 0, fmt.Errorf("core: non-positive t_PEW %v", tPEW)
+	reads, err = checkRound(tPEW, reads)
+	if err != nil {
+		return 0, err
 	}
 	if err := dev.Unlock(); err != nil {
 		return 0, err
 	}
 	defer dev.Lock()
-	if err := dev.EraseSegment(segAddr); err != nil {
-		return 0, err
-	}
-	allZeros := make([]uint64, geom.WordsPerSegment())
-	if err := dev.ProgramBlock(segAddr, allZeros); err != nil {
-		return 0, err
-	}
-	if err := dev.PartialEraseSegment(segAddr, tPEW); err != nil {
-		return 0, err
-	}
-	_, _, c0, err := AnalyzeSegment(dev, segAddr, reads)
+	_, c0, err := partialEraseRound(dev, segAddr, tPEW, reads, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -3,6 +3,11 @@ package core
 import (
 	"testing"
 	"time"
+
+	"github.com/flashmark/flashmark/internal/device"
+	"github.com/flashmark/flashmark/internal/floatgate"
+	"github.com/flashmark/flashmark/internal/mcu"
+	"github.com/flashmark/flashmark/internal/nand"
 )
 
 func TestCharacterizeFreshSegment(t *testing.T) {
@@ -137,5 +142,81 @@ func TestDetectStressValidation(t *testing.T) {
 func TestAllErasedTimeEmpty(t *testing.T) {
 	if _, ok := AllErasedTime(nil); ok {
 		t.Error("empty sweep should not report all-erased")
+	}
+}
+
+// TestRejectedRoundLeavesDeviceUntouched pins that DetectStress and
+// ExtractSegment validate their arguments before the first device
+// operation: a rejected call adds no wear, charges no time and issues no
+// command, on a NOR part and on the NAND adapter alike.
+func TestRejectedRoundLeavesDeviceUntouched(t *testing.T) {
+	part, err := mcu.PartByName("FM-SIM16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabs := map[string]device.Fab{
+		"FM-SIM16": mcu.Fab(part),
+		"NAND":     nand.Fab(nand.SmallNAND(), nand.SLCTiming(), floatgate.DefaultParams()),
+	}
+	calls := map[string]func(device.Device) error{
+		"DetectStress reads=2": func(d device.Device) error {
+			_, err := DetectStress(d, 0, 24*time.Microsecond, 2)
+			return err
+		},
+		"DetectStress reads=-3": func(d device.Device) error {
+			_, err := DetectStress(d, 0, 24*time.Microsecond, -3)
+			return err
+		},
+		"DetectStress tPEW=0": func(d device.Device) error {
+			_, err := DetectStress(d, 0, 0, 1)
+			return err
+		},
+		"ExtractSegment reads=2": func(d device.Device) error {
+			_, err := ExtractSegment(d, 0, ExtractOptions{TPEW: 24 * time.Microsecond, Reads: 2})
+			return err
+		},
+		"ExtractSegment tPEW=0": func(d device.Device) error {
+			_, err := ExtractSegment(d, 0, ExtractOptions{Reads: 3})
+			return err
+		},
+	}
+	for fabName, fab := range fabs {
+		for callName, call := range calls {
+			dev, err := fab(31)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Some prior wear, so an added erase shows in the summary.
+			if err := ImprintSegment(dev, 0, make([]uint64, segWords(dev)), ImprintOptions{NPE: 100}); err != nil {
+				t.Fatal(err)
+			}
+			wi, ok := device.As[device.WearInspector](dev)
+			if !ok {
+				t.Fatalf("%s: no wear inspector", fabName)
+			}
+			_, meanBefore, maxBefore, err := wi.SegmentWearSummary(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clockBefore := dev.Clock().Now()
+			rec := device.Record(dev)
+			if err := call(rec); err == nil {
+				t.Fatalf("%s %s: accepted", fabName, callName)
+			}
+			_, meanAfter, maxAfter, err := wi.SegmentWearSummary(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meanAfter != meanBefore || maxAfter != maxBefore {
+				t.Errorf("%s %s: wear moved from mean %v max %v to mean %v max %v",
+					fabName, callName, meanBefore, maxBefore, meanAfter, maxAfter)
+			}
+			if now := dev.Clock().Now(); now != clockBefore {
+				t.Errorf("%s %s: clock moved from %v to %v", fabName, callName, clockBefore, now)
+			}
+			if ops := rec.Counts(); len(ops) != 0 {
+				t.Errorf("%s %s: issued %v", fabName, callName, ops)
+			}
+		}
 	}
 }

@@ -23,7 +23,9 @@ import (
 // Scratch pools for the extraction hot loop: repeated extractions (ROC
 // sweeps run thousands) reuse the all-zeros program image and the
 // per-word vote counters instead of reallocating them. Only the voted
-// words — the caller-owned result — are freshly allocated.
+// words of an extraction — the caller-owned result — are freshly
+// allocated; stress detection and characterization, which keep only
+// the cell counts, vote into the spent program image.
 var (
 	zeroWordsScratch = sync.Pool{New: func() any { w := []uint64(nil); return &w }}
 	votesScratch     = sync.Pool{New: func() any { v := []int(nil); return &v }}
@@ -118,51 +120,71 @@ type ExtractOptions struct {
 // Extraction destroys any data stored in the segment but not the
 // watermark, which is physical; extraction may be repeated.
 func ExtractSegment(dev device.Device, segAddr int, opts ExtractOptions) ([]uint64, error) {
-	geom := dev.Geometry()
-	reads := opts.Reads
-	if reads == 0 {
-		reads = 1
-	}
-	if reads < 0 || reads%2 == 0 {
-		return nil, fmt.Errorf("core: reads must be odd and positive, got %d", reads)
-	}
-	if opts.TPEW <= 0 {
-		return nil, fmt.Errorf("core: non-positive t_PEW %v", opts.TPEW)
+	reads, err := checkRound(opts.TPEW, opts.Reads)
+	if err != nil {
+		return nil, err
 	}
 	if err := dev.Unlock(); err != nil {
 		return nil, err
 	}
 	defer dev.Lock()
 
-	if err := dev.EraseSegment(segAddr); err != nil {
-		return nil, err
-	}
-	zp := zeroWordsScratch.Get().(*[]uint64)
-	allZeros := *zp
-	if cap(allZeros) < geom.WordsPerSegment() {
-		allZeros = make([]uint64, geom.WordsPerSegment())
-	}
-	allZeros = allZeros[:geom.WordsPerSegment()]
-	for i := range allZeros {
-		allZeros[i] = 0
-	}
-	err := dev.ProgramBlock(segAddr, allZeros)
-	*zp = allZeros
-	zeroWordsScratch.Put(zp)
-	if err != nil {
-		return nil, err
-	}
-	if err := dev.PartialEraseSegment(segAddr, opts.TPEW); err != nil {
-		return nil, err
-	}
-	words, _, _, err := AnalyzeSegment(dev, segAddr, reads)
-	if err != nil {
+	geom := dev.Geometry()
+	words := make([]uint64, geom.WordsPerSegment())
+	if _, _, err := partialEraseRound(dev, segAddr, opts.TPEW, reads, words); err != nil {
 		return nil, err
 	}
 	if opts.HostReadout {
 		dev.ChargeHostTransfer(reads * geom.SegmentBytes)
 	}
 	return words, nil
+}
+
+// checkRound validates the arguments of a partial-erase round before
+// any device operation, so a rejected call costs the chip no wear and no
+// time. Zero reads selects 1; the normalized count is returned.
+func checkRound(tPE time.Duration, reads int) (int, error) {
+	if reads == 0 {
+		reads = 1
+	}
+	if reads < 0 || reads%2 == 0 {
+		return 0, fmt.Errorf("core: reads must be odd and positive, got %d", reads)
+	}
+	if tPE <= 0 {
+		return 0, fmt.Errorf("core: non-positive t_PEW %v", tPE)
+	}
+	return reads, nil
+}
+
+// partialEraseRound is the measurement both extraction and stress
+// detection make (paper Figs. 3, 5 and 8): erase the segment containing
+// segAddr, program every cell, abort an erase after tPE, and
+// majority-read the result. The voted words go to words when it is
+// non-nil (one per segment word); otherwise they land in the pooled
+// program image, which is spent by then, and only the counts are kept.
+// The caller has unlocked the device and validated reads.
+func partialEraseRound(dev device.Device, segAddr int, tPE time.Duration, reads int, words []uint64) (cells1, cells0 int, err error) {
+	if err := dev.EraseSegment(segAddr); err != nil {
+		return 0, 0, err
+	}
+	n := dev.Geometry().WordsPerSegment()
+	zp := zeroWordsScratch.Get().(*[]uint64)
+	defer zeroWordsScratch.Put(zp)
+	if cap(*zp) < n {
+		*zp = make([]uint64, n)
+	}
+	allZeros := (*zp)[:n]
+	clear(allZeros)
+	if err := dev.ProgramBlock(segAddr, allZeros); err != nil {
+		return 0, 0, err
+	}
+	if err := dev.PartialEraseSegment(segAddr, tPE); err != nil {
+		return 0, 0, err
+	}
+	if words == nil {
+		words = allZeros
+	}
+	return analyzeInto(dev, segAddr, reads, words)
 }
 
 // AnalyzeSegment reads every word of the segment `reads` times (odd) and
@@ -173,14 +195,24 @@ func AnalyzeSegment(dev device.Device, segAddr int, reads int) (words []uint64, 
 	if reads <= 0 || reads%2 == 0 {
 		return nil, 0, 0, fmt.Errorf("core: reads must be odd and positive, got %d", reads)
 	}
-	geom := dev.Geometry()
-	seg, err := geom.SegmentOfAddr(segAddr)
+	words = make([]uint64, dev.Geometry().WordsPerSegment())
+	cells1, cells0, err = analyzeInto(dev, segAddr, reads, words)
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	return words, cells1, cells0, nil
+}
+
+// analyzeInto is AnalyzeSegment writing the voted words into words,
+// which holds one entry per segment word.
+func analyzeInto(dev device.Device, segAddr int, reads int, words []uint64) (cells1, cells0 int, err error) {
+	geom := dev.Geometry()
+	seg, err := geom.SegmentOfAddr(segAddr)
+	if err != nil {
+		return 0, 0, err
+	}
 	base := seg * geom.SegmentBytes
 	bits := geom.WordBits()
-	words = make([]uint64, geom.WordsPerSegment())
 	vp := votesScratch.Get().(*[]int)
 	defer votesScratch.Put(vp)
 	votes := *vp
@@ -196,7 +228,7 @@ func AnalyzeSegment(dev device.Device, segAddr int, reads int) (words []uint64, 
 		for r := 0; r < reads; r++ {
 			v, rerr := dev.ReadWord(base + w*geom.WordBytes)
 			if rerr != nil {
-				return nil, 0, 0, rerr
+				return 0, 0, rerr
 			}
 			for b := 0; b < bits; b++ {
 				if v&(1<<uint(b)) != 0 {
@@ -215,7 +247,7 @@ func AnalyzeSegment(dev device.Device, segAddr int, reads int) (words []uint64, 
 		}
 		words[w] = voted
 	}
-	return words, cells1, cells0, nil
+	return cells1, cells0, nil
 }
 
 // BitErrors counts differing bits between got and want over `bits` bits

@@ -2,6 +2,7 @@ package floatgate
 
 import (
 	"sort"
+	"sync"
 
 	"github.com/flashmark/flashmark/internal/mathx"
 )
@@ -107,12 +108,71 @@ func (m *Model) BasesInto(segIndex, cells int, dst []CellBase) []CellBase {
 }
 
 // SortIndexByU sorts idx (cell indices into bases) so the referenced U
-// values ascend. Stable order for equal U keeps results deterministic.
+// values ascend. Stable order for equal U keeps results deterministic:
+// the result is exactly sort.SliceStable's by U.
+//
+// U is uniform on (0,1) by construction, so the sort runs in expected
+// linear time: a stable counting sort on the bucket ⌊U·n⌋, then an
+// insertion pass that only ever moves a cell past strictly larger U
+// (which, the bucket being monotone in U, stays inside its bucket).
+// Both passes are stable, so ties keep their input order. The bucket
+// counts and staging copy come from a process-wide pool, so steady-state
+// calls allocate nothing. U must not be NaN.
 func SortIndexByU(bases []CellBase, idx []int32) {
-	sort.SliceStable(idx, func(a, b int) bool {
-		return bases[idx[a]].U < bases[idx[b]].U
-	})
+	n := len(idx)
+	if n < 2 {
+		return
+	}
+	s := sortScratchPool.Get().(*sortScratch)
+	defer sortScratchPool.Put(s)
+	if cap(s.count) < n+1 {
+		s.count = make([]int32, n+1)
+		s.staged = make([]int32, n)
+	}
+	count, staged := s.count[:n+1], s.staged[:n]
+	clear(count)
+	scale := float64(n)
+	bucket := func(u float64) int {
+		switch f := u * scale; {
+		case !(f > 0):
+			return 0
+		case f >= scale:
+			return n - 1
+		default:
+			return int(f)
+		}
+	}
+	for _, ci := range idx {
+		count[bucket(bases[ci].U)+1]++
+	}
+	for b := 1; b <= n; b++ {
+		count[b] += count[b-1]
+	}
+	copy(staged, idx)
+	for _, ci := range staged {
+		b := bucket(bases[ci].U)
+		idx[count[b]] = ci
+		count[b]++
+	}
+	for i := 1; i < n; i++ {
+		ci := idx[i]
+		u := bases[ci].U
+		j := i
+		for ; j > 0 && bases[idx[j-1]].U > u; j-- {
+			idx[j] = idx[j-1]
+		}
+		idx[j] = ci
+	}
 }
+
+// sortScratch is SortIndexByU's reusable working storage: bucket start
+// offsets and the staged input order.
+type sortScratch struct {
+	count  []int32
+	staged []int32
+}
+
+var sortScratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
 
 // MaxTauScratch holds the reusable buffers of MaxTauGroup so steady-state
 // callers allocate nothing.

@@ -1,8 +1,11 @@
 package floatgate
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 )
 
@@ -65,18 +68,181 @@ func TestBasesIntoMatchesBase(t *testing.T) {
 	}
 }
 
+// referenceSortIndexByU is the comparison sort SortIndexByU replaced,
+// kept as the order oracle: stable, by ascending U.
+func referenceSortIndexByU(bases []CellBase, idx []int32) {
+	sort.SliceStable(idx, func(a, b int) bool {
+		return bases[idx[a]].U < bases[idx[b]].U
+	})
+}
+
+// TestSortIndexByU pins SortIndexByU's exact output, not just its
+// ascent, to the stable comparison sort: ties must keep their input
+// order whatever that order is, so the MaxTauGroup member lists (and
+// with them every pruned max) stay what they were.
 func TestSortIndexByU(t *testing.T) {
 	m := testModel(t)
-	bases := m.BasesInto(1, 300, nil)
-	idx := make([]int32, len(bases))
-	for i := range idx {
-		idx[i] = int32(len(idx) - 1 - i)
+	rnd := rand.New(rand.NewSource(0x5027))
+	// Populations: the die's own bases; U forced onto a few values (ties
+	// everywhere, including bucket edges and U a hair below 1); and die
+	// bases with a third of the cells copying another cell's U.
+	type population struct {
+		name  string
+		bases func(n int) []CellBase
 	}
-	SortIndexByU(bases, idx)
-	for i := 1; i < len(idx); i++ {
-		if bases[idx[i-1]].U > bases[idx[i]].U {
-			t.Fatalf("idx not U-sorted at %d", i)
+	populations := []population{
+		{"random", func(n int) []CellBase { return m.BasesInto(5, n, nil) }},
+		{"ties", func(n int) []CellBase {
+			values := []float64{math.Nextafter(1, 0), 0.5, 0.25, 1e-300, 0.75, 0.5 + 1e-16}
+			if n > 0 {
+				values = append(values, 3/float64(n), 1/float64(n))
+			}
+			out := make([]CellBase, n)
+			for i := range out {
+				out[i] = CellBase{TauBaseUs: float64(i), U: values[rnd.Intn(len(values))]}
+			}
+			return out
+		}},
+		{"duplicates", func(n int) []CellBase {
+			out := m.BasesInto(6, n, nil)
+			for i := range out {
+				if rnd.Intn(3) == 0 {
+					out[i].U = out[rnd.Intn(n)].U
+				}
+			}
+			return out
+		}},
+	}
+	type order struct {
+		name string
+		idx  func(n int) []int32
+	}
+	orders := []order{
+		{"ascending", func(n int) []int32 {
+			idx := make([]int32, n)
+			for i := range idx {
+				idx[i] = int32(i)
+			}
+			return idx
+		}},
+		{"reversed", func(n int) []int32 {
+			idx := make([]int32, n)
+			for i := range idx {
+				idx[i] = int32(n - 1 - i)
+			}
+			return idx
+		}},
+		{"shuffled", func(n int) []int32 {
+			idx := make([]int32, n)
+			for i, p := range rnd.Perm(n) {
+				idx[i] = int32(p)
+			}
+			return idx
+		}},
+		// A subset with repeats, as a caller's member list may be.
+		{"subset", func(n int) []int32 {
+			idx := make([]int32, n/2)
+			for i := range idx {
+				idx[i] = int32(rnd.Intn(n))
+			}
+			return idx
+		}},
+	}
+	for _, pop := range populations {
+		for _, ord := range orders {
+			for _, n := range []int{0, 1, 2, 3, 17, 300, 4096, 32768} {
+				bases := pop.bases(n)
+				got := ord.idx(n)
+				want := append([]int32(nil), got...)
+				referenceSortIndexByU(bases, want)
+				SortIndexByU(bases, got)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s/%s n=%d: position %d holds cell %d (U=%v), stable sort has %d (U=%v)",
+							pop.name, ord.name, n, i, got[i], bases[got[i]].U, want[i], bases[want[i]].U)
+					}
+				}
+			}
 		}
+	}
+}
+
+// TestSortIndexByUSteadyStateAllocs: the bucket scratch is pooled, so a
+// warm sort of a NOR segment or a NAND block allocates nothing. The race
+// detector makes sync.Pool drop items on purpose, so the count is only
+// meaningful without it.
+func TestSortIndexByUSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	m := testModel(t)
+	for _, n := range []int{4096, 32768} {
+		bases := m.BasesInto(2, n, nil)
+		idx := make([]int32, n)
+		sortIdentity := func() {
+			for i := range idx {
+				idx[i] = int32(i)
+			}
+			SortIndexByU(bases, idx)
+		}
+		sortIdentity()
+		if allocs := testing.AllocsPerRun(20, sortIdentity); allocs != 0 {
+			t.Errorf("n=%d: %v allocs/op in steady state, want 0", n, allocs)
+		}
+	}
+}
+
+// TestSortIndexByUConcurrent: the bucket scratch is one process-wide
+// pool, and segments are sorted from many goroutines at once (the
+// parallel experiment engine, concurrent service requests). Each sort
+// must still produce its own stable order. Run it under -race.
+func TestSortIndexByUConcurrent(t *testing.T) {
+	m := testModel(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		bases := m.BasesInto(10+g, 4096<<(g%2), nil)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 8; r++ {
+				got := make([]int32, len(bases))
+				for i := range got {
+					got[i] = int32(len(got) - 1 - i)
+				}
+				want := append([]int32(nil), got...)
+				referenceSortIndexByU(bases, want)
+				SortIndexByU(bases, got)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("%d cells: position %d holds %d, stable sort has %d", len(bases), i, got[i], want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkSortIndexByU times the per-segment U-order build: a 4,096-cell
+// NOR segment and a 32,768-cell SmallNAND block.
+func BenchmarkSortIndexByU(b *testing.B) {
+	m, err := NewModel(DefaultParams(), 0xBA7C4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{4096, 32768} {
+		bases := m.BasesInto(0, n, nil)
+		idx := make([]int32, n)
+		b.Run(fmt.Sprintf("cells=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j := range idx {
+					idx[j] = int32(j)
+				}
+				SortIndexByU(bases, idx)
+			}
+		})
 	}
 }
 

@@ -119,14 +119,25 @@ func (m *Model) ReadOneProbability(marginUs float64) float64 {
 	return mathx.NormalCDF(marginUs, 0, m.params.ReadNoiseSigmaUs)
 }
 
+// ReadDecided reports whether a read at the given margin is settled
+// without noise (more than six sigma from the crossing) and, if so, the
+// value it reads. SampleRead draws from the noise stream exactly when
+// decided is false.
+func (m *Model) ReadDecided(marginUs float64) (one, decided bool) {
+	switch {
+	case marginUs > 6*m.params.ReadNoiseSigmaUs:
+		return true, true
+	case marginUs < -6*m.params.ReadNoiseSigmaUs:
+		return false, true
+	}
+	return false, false
+}
+
 // SampleRead draws one digital read of a cell at the given margin using
 // the supplied noise stream.
 func (m *Model) SampleRead(marginUs float64, noise *rng.Stream) bool {
-	switch {
-	case marginUs > 6*m.params.ReadNoiseSigmaUs:
-		return true
-	case marginUs < -6*m.params.ReadNoiseSigmaUs:
-		return false
+	if one, ok := m.ReadDecided(marginUs); ok {
+		return one
 	}
 	return noise.Float64() < m.ReadOneProbability(marginUs)
 }

@@ -28,14 +28,17 @@ import (
 // most once per fetch — a sequential single-read pass over a block (the
 // extraction access pattern) costs exactly one page read per page,
 // while re-reading a word fetches the page again so repeated reads of a
-// metastable cell remain independent samples.
+// metastable cell remain independent samples. A fetch draws its noise
+// up front but decides a word's metastable cells only when the word is
+// served (see pageFetch): the majority pass re-fetches a page for every
+// re-read yet serves at most two words from each fetch.
 type Adapter struct {
 	d    *Device
 	baud int
 
 	cacheBlock int
 	cachePage  int
-	cache      []byte
+	fetch      *pageFetch
 	served     []bool
 }
 
@@ -204,14 +207,16 @@ func (a *Adapter) ReadWord(addr int) (uint64, error) {
 	page := word / wordsPerPage
 	inPage := word % wordsPerPage
 	if a.cacheBlock != block || a.cachePage != page || a.served[inPage] {
-		// Refill the cache buffer in place: a steady-state read pass over
-		// a block allocates nothing.
-		data, err := a.d.ReadPageInto(block, page, a.cache[:0])
-		if err != nil {
+		// Refill the fetch buffers in place: a steady-state read pass
+		// over a block allocates nothing.
+		if a.fetch == nil {
+			a.fetch = new(pageFetch)
+		}
+		if err := a.d.fetchPage(block, page, a.fetch); err != nil {
 			a.invalidate()
 			return 0, err
 		}
-		a.cacheBlock, a.cachePage, a.cache = block, page, data
+		a.cacheBlock, a.cachePage = block, page
 		if len(a.served) != wordsPerPage {
 			a.served = make([]bool, wordsPerPage)
 		} else {
@@ -221,7 +226,7 @@ func (a *Adapter) ReadWord(addr int) (uint64, error) {
 		}
 	}
 	a.served[inPage] = true
-	return uint64(a.cache[2*inPage]) | uint64(a.cache[2*inPage+1])<<8, nil
+	return uint64(a.fetch.byteAt(2*inPage)) | uint64(a.fetch.byteAt(2*inPage+1))<<8, nil
 }
 
 // ReadSegment reads every word of the block containing addr, in order
@@ -267,6 +272,7 @@ func (a *Adapter) StressSegmentWords(addr int, values []uint64, n int, adaptive 
 	}
 	a.invalidate()
 	d := a.d
+	d.gen++
 	sub := blockCells{d: d, block: block, base: block * geom.CellsPerSegment(), cells: geom.CellsPerSegment()}
 	one := func(i int) bool {
 		return values[i/geom.WordBits()]&(1<<uint(i%geom.WordBits())) != 0
@@ -540,16 +546,18 @@ func LoadAdapter(r io.Reader) (*Adapter, error) {
 }
 
 // Loader reconstructs NAND chips from Save output, recycling the JSON
-// envelope, the binary array form, the cell array, and the page-cursor
-// slice across loads — the NAND counterpart of mcu.Loader. The zero
-// value is ready. A Loader is not safe for concurrent use, and the
-// adapter it returns aliases the loader's storage: the next Load
-// invalidates every previously returned adapter.
+// envelope, the binary array form, the cell array, the page-cursor
+// slice and the adapter's page-fetch buffers across loads — the NAND
+// counterpart of mcu.Loader. The zero value is ready. A Loader is not
+// safe for concurrent use, and the adapter it returns aliases the
+// loader's storage: the next Load invalidates every previously returned
+// adapter.
 type Loader struct {
 	cf       nandChipFile
 	bin      []byte
 	arr      *nor.Array
 	nextPage []int
+	fetch    pageFetch
 }
 
 // Load reconstructs a NAND chip from the serialized chip file. It
@@ -615,7 +623,12 @@ func (l *Loader) Load(data []byte) (*Adapter, error) {
 	}
 	next := l.nextPage[:cf.Geometry.Blocks]
 	copy(next, cf.NextPage)
-	return Adapt(newDevice(cf.Geometry, cf.Timing, cf.Params, cf.Seed, model, arr, next)), nil
+	a := Adapt(newDevice(cf.Geometry, cf.Timing, cf.Params, cf.Seed, model, arr, next))
+	// The page-fetch buffers are recycled too, but the previous chip's
+	// page classification must not carry over to this one.
+	l.fetch.classified = false
+	a.fetch = &l.fetch
+	return a, nil
 }
 
 // Interface conformance (device.Device plus the wear capability; NAND

@@ -11,12 +11,12 @@ import (
 
 // The NAND batched physics path. NAND shares the floating-gate physics
 // with NOR but applies no retention/temperature transform, so the fast
-// path here is simpler than the NOR controller's: per-block CellBase
-// caches kill the dominant per-cell Base recomputation (the reference
-// TauAt re-derives the die RNG per call), wear-grouped TauEnv hoisting
-// shares the transcendental work of one erase across every cell at the
-// same wear, and the adaptive-erase max rides the pruned
-// floatgate.MaxTauGroup kernel. All of it is a reorganization of the
+// path here is simpler than the NOR controller's: wear-grouped TauEnv
+// hoisting shares the transcendental work of one erase across every cell
+// at the same wear, and the adaptive-erase max rides the pruned
+// floatgate.MaxTauGroup kernel over per-block CellBase caches and
+// U-orders, which every later adaptive erase of the block reuses (the
+// reference TauAt re-derives the die RNG per call). All of it is a reorganization of the
 // reference arithmetic — results are bit-identical, pinned by the
 // equivalence tests — and the reference per-cell loops remain selectable
 // through device.PhysicsSelector.
@@ -163,9 +163,17 @@ func (d *Device) maxTauOver(block int, include func(i int) bool, wearOf func(i i
 // tau terms hoisted per wear group. Margin stores go through
 // nor.ClampMargin (the exact SetMargin semantics) and wear updates add
 // the same EraseWear increments in the same order as the reference loop.
+//
+// A programmed cell's CellBase comes from the block's cache when the
+// adaptive-erase max has built one, and is derived on the spot
+// otherwise: a verification partial-erases each block it touches once,
+// so building the cache (and the U-order beside it) would cost more
+// than it ever saves.
 func (d *Device) partialEraseBlockFast(block int, pulseUs float64) {
-	d.blockPhys(block)
-	bases := d.bases[block]
+	var bases []floatgate.CellBase
+	if d.bases != nil {
+		bases = d.bases[block]
+	}
 	margins, wear := d.cells.CellSpan(block)
 	fullWear := d.model.EraseWear(true)
 	eraseOnly := d.model.EraseWear(false)
@@ -174,7 +182,13 @@ func (d *Device) partialEraseBlockFast(block int, pulseUs float64) {
 		m := margins[i]
 		switch {
 		case m <= nor.MarginProgrammed:
-			tau := d.envFor(wear[i]).Tau(bases[i])
+			var base floatgate.CellBase
+			if bases != nil {
+				base = bases[i]
+			} else {
+				base = d.model.Base(block, i)
+			}
+			tau := d.envFor(wear[i]).Tau(base)
 			margins[i] = nor.ClampMargin(pulseUs - tau)
 			wear[i] += fullWear
 		case m >= nor.MarginErased:

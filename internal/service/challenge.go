@@ -82,8 +82,8 @@ const (
 // rebuilt per call (interrogation destroys the probe segment's content,
 // and pooled loader storage must not outlive the call).
 func (s *Server) interrogateRaw(raw []byte) (challenge.Response, int64, *httpError) {
-	ld := s.loaders.Get().(*chipLoader)
-	defer s.loaders.Put(ld)
+	ld := chipLoaders.Get().(*chipLoader)
+	defer chipLoaders.Put(ld)
 	dev, err := ld.load(raw)
 	if err != nil {
 		return challenge.Response{}, 0, &httpError{http.StatusBadRequest, err.Error()}

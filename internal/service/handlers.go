@@ -194,7 +194,7 @@ func sniffFormat(raw []byte) ([]byte, bool) {
 	return nil, false
 }
 
-// chipLoader bundles one reusable loader per backend; the server pools
+// chipLoader bundles one reusable loader per backend; chipLoaders pools
 // them so a steady request stream reloads chips into recycled arrays.
 // The device a load returns aliases the loader's storage, so a loader
 // checked out of the pool must not be returned until the device is no
@@ -204,6 +204,11 @@ type chipLoader struct {
 	nand  nand.Loader
 	reram reram.Loader
 }
+
+// chipLoaders is shared by every Server in the process, like
+// bodyScratch: a loader holds no server state, and a per-Server pool
+// would give each new Server its own set of multi-megabyte cell arrays.
+var chipLoaders = sync.Pool{New: func() any { return new(chipLoader) }}
 
 // load sniffs the chip file's self-describing format field and
 // dispatches to the matching backend loader, mirroring the flashmark
@@ -244,8 +249,8 @@ func (l *chipLoader) load(raw []byte) (device.Device, error) {
 // and renders the ChipReport. The encoded body, its decoded form, and
 // the verdict come back for caching; failures come back as *httpError.
 func (s *Server) screenChip(ctx context.Context, raw []byte, sum string) ([]byte, ChipReport, counterfeit.Verdict, *httpError) {
-	ld := s.loaders.Get().(*chipLoader)
-	defer s.loaders.Put(ld)
+	ld := chipLoaders.Get().(*chipLoader)
+	defer chipLoaders.Put(ld)
 	dev, err := ld.load(raw)
 	if err != nil {
 		return nil, ChipReport{}, 0, &httpError{http.StatusBadRequest, err.Error()}

@@ -207,10 +207,6 @@ type Server struct {
 	draining chan struct{}
 	drainMu  sync.Mutex
 	inflight sync.WaitGroup
-	// loaders pools one reusable chip loader per concurrent screening;
-	// a loader is checked out for the duration of one screenChip call
-	// (the devices it returns alias its storage).
-	loaders sync.Pool
 }
 
 // New validates the config and assembles a Server.
@@ -233,7 +229,6 @@ func New(cfg Config) (*Server, error) {
 		cache:    newVerdictCache(cfg.CacheEntries),
 		draining: make(chan struct{}),
 	}
-	s.loaders.New = func() any { return new(chipLoader) }
 	s.met = newServiceMetrics(cfg.Registry, s.gate, s.cache)
 	if cfg.Provenance != nil {
 		registerRegistryGauges(cfg.Registry, cfg.Provenance)
