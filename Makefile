@@ -1,7 +1,6 @@
 GO ?= go
-BENCHTIME ?= 1x
 
-.PHONY: all build vet test race bench bench-json bench-physics bench-physics-check bench-registry bench-registry-check bench-hotpath bench-hotpath-check loadgen loadgen-check experiments smoke cluster-smoke scenarios-check cover cover-check fmt clean
+.PHONY: all build vet test race bench bench-physics bench-registry bench-hotpath loadgen experiments smoke cluster-smoke scenarios-check cover cover-check fmt clean
 
 all: build vet test
 
@@ -23,65 +22,36 @@ race:
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
-# Runs the serial-vs-parallel experiment-suite benchmark and writes the
-# timings to BENCH_experiments.json (schema flashmark-bench-experiments/v1).
-# CI runs this at BENCHTIME=1x and uploads the JSON as an artifact.
-bench-json:
-	$(GO) test -run xxx -bench BenchmarkExperimentSuite -benchtime $(BENCHTIME) -benchjson BENCH_experiments.json .
-
-# Physics fast-path benchmarks: batched vs per-cell reference physics
-# on segment erase, verification extraction and the Fig. 4
-# characterization sweep, plus the 0-alloc steady-state read check.
-# Writes BENCH_physics.json (schema flashmark-bench-physics/v1).
+# Physics fast-path gate: batched vs per-cell reference physics on
+# segment erase, verification extraction and the Fig. 4
+# characterization sweep. Each benchmark fails if its speedup falls
+# more than 20% below the recorded value, or characterization below 3x.
+# 3x, not 1x: a single sweep per path is too noisy to gate.
 bench-physics:
-	$(GO) test -run xxx -bench 'BenchmarkSegmentErase|BenchmarkVerify|BenchmarkSegmentCharacterize|BenchmarkSteadyStateRead' -benchtime $(BENCHTIME) -physjson BENCH_physics.json .
+	$(GO) test -run xxx -bench 'BenchmarkSegmentErase|BenchmarkVerify|BenchmarkSegmentCharacterize|BenchmarkSteadyStateRead' -benchtime 3x -v .
 
-# Bench-regression gate: re-measure and compare the speedup ratios and
-# read-path allocs against scripts/bench_physics_baseline.json (±20%).
-bench-physics-check: bench-physics
-	./scripts/check_bench.sh BENCH_physics.json
-
-# Registry benchmarks: fleet-scale lookup against 1M enrolled ids
-# (acceptance: sub-microsecond, zero allocations) and durable
-# group-commit enrollment. Writes BENCH_registry.json (schema
-# flashmark-bench-registry/v1). The package path must precede the
-# -regjson flag or `go test` stops parsing the package list.
+# Registry gate: fleet-scale lookup against 1M enrolled ids must stay
+# under 1000 ns/op; durable group-commit enrollment is reported for
+# context.
 bench-registry:
-	$(GO) test ./internal/registry/ -run xxx -bench 'BenchmarkRegistryLookup|BenchmarkRegistryEnroll' -benchtime 10000x -regjson $(CURDIR)/BENCH_registry.json
+	$(GO) test -run xxx -bench 'BenchmarkRegistryLookup|BenchmarkRegistryEnroll' -benchtime 10000x ./internal/registry/
 
-# Registry acceptance gate: lookup must stay allocation-free and under
-# the scripts/bench_registry_baseline.json ns ceiling at 1M keys.
-bench-registry-check: bench-registry
-	./scripts/check_bench.sh BENCH_registry.json
-
-# Verify hot-path benchmark: the full /v1/verify request lifecycle
-# (mux -> admission -> body read -> sniff -> load -> physics verify ->
-# encode) measured single-core through the real handler, cache-miss and
-# cache-hit. Writes BENCH_hotpath.json (schema
-# flashmark-bench-hotpath/v1). The package path must precede the
-# -hotjson flag or `go test` stops parsing the package list.
+# Verify hot-path gate: the full /v1/verify request lifecycle (mux ->
+# admission -> body read -> sniff -> load -> physics verify -> encode)
+# measured single-core through the real handler, cache-miss and
+# cache-hit. The miss path must clear 20 chips/s; the allocs/op
+# ceilings are plain tests (TestVerifyHotPathAllocs).
 bench-hotpath:
-	$(GO) test ./internal/service/ -run xxx -bench BenchmarkVerifyHotPath -benchtime 50x -hotjson $(CURDIR)/BENCH_hotpath.json
+	$(GO) test -run xxx -bench BenchmarkVerifyHotPath -benchtime 50x ./internal/service/
 
-# Hot-path acceptance gate: allocs/op must stay under the hard ceilings
-# in scripts/bench_hotpath_baseline.json on both paths, and the miss
-# path must clear the loose chips/sec floor.
-bench-hotpath-check: bench-hotpath
-	./scripts/check_bench.sh BENCH_hotpath.json
-
-# Synthetic-fleet load scenario: prove the schedule is reproducible,
-# start fmverifyd, drive it with the fixed Poisson workload (genuine
-# chips, replay-imprint clones, counterfeits), and write
-# loadgen-out/BENCH_service.json (schema flashmark-bench-service/v1)
-# plus a /metrics snapshot and the daemon log.
+# Synthetic-fleet load scenario and SLO gate: prove the schedule is
+# reproducible, start fmverifyd, drive it with the fixed Poisson
+# workload (genuine chips, replay-imprint clones, counterfeits) in a
+# steady, an overdrive and a cluster phase, and fail unless each
+# phase's report in loadgen-out/ holds the bands in
+# scripts/loadgen_slo.sh.
 loadgen:
 	./scripts/loadgen_slo.sh loadgen-out
-
-# Service SLO gate: the measured verify percentiles, throughput, shed
-# rate, and DUPLICATE-ID detection must stay inside the bands in
-# scripts/bench_service_baseline.json.
-loadgen-check: loadgen
-	./scripts/check_bench.sh loadgen-out/BENCH_service.json
 
 experiments:
 	$(GO) run ./cmd/fmexperiments -run all

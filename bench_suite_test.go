@@ -1,17 +1,10 @@
-// Experiment-suite benchmarks: the whole evaluation registry end to end,
-// serial vs parallel, so the perf trajectory of the experiment engine is
-// tracked from PR to PR. With -benchjson the timings are also written as
-// BENCH_experiments.json (schema flashmark-bench-experiments/v1), which
-// CI uploads as an artifact on every run.
+// Experiment-suite benchmark: the whole evaluation registry end to end,
+// serial vs parallel.
 //
-// Run: make bench-json
-// (equivalently: go test -run xxx -bench BenchmarkExperimentSuite -benchtime 1x -benchjson BENCH_experiments.json .)
+// Run: go test -run xxx -bench BenchmarkExperimentSuite -benchtime 1x .
 package flashmark_test
 
 import (
-	"encoding/json"
-	"flag"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -19,56 +12,25 @@ import (
 	"github.com/flashmark/flashmark/internal/experiment"
 )
 
-var benchJSON = flag.String("benchjson", "", "write BenchmarkExperimentSuite timings to this JSON file")
-
-// suiteMode is one benchmarked configuration of the experiment engine.
-type suiteMode struct {
-	Workers     int              `json:"workers"`
-	TotalNs     int64            `json:"total_ns"`
-	Experiments map[string]int64 `json:"experiments_ns"`
-}
-
-// suiteReport is the BENCH_experiments.json payload.
-type suiteReport struct {
-	Schema     string               `json:"schema"`
-	GoMaxProcs int                  `json:"go_max_procs"`
-	GoVersion  string               `json:"go_version"`
-	Fast       bool                 `json:"fast"`
-	Modes      map[string]suiteMode `json:"modes"`
-	// Speedup is serial total over parallel total (1.0 on one core).
-	Speedup float64 `json:"speedup"`
-}
-
 // runSuite executes every registered experiment once with the given
-// worker bound, returning the total and per-experiment wall-clock.
-func runSuite(b *testing.B, workers int) (time.Duration, map[string]int64) {
+// worker bound and returns the wall-clock it took.
+func runSuite(b *testing.B, workers int) time.Duration {
 	b.Helper()
 	cfg := experiment.Config{Fast: true, Workers: workers}
-	per := make(map[string]int64)
 	start := time.Now()
 	for _, id := range experiment.IDs() {
-		expStart := time.Now()
 		if _, err := experiment.Run(id, cfg); err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
-		per[id] = time.Since(expStart).Nanoseconds()
 	}
-	return time.Since(start), per
+	return time.Since(start)
 }
 
 // BenchmarkExperimentSuite times the full evaluation registry with the
-// serial engine (workers=1) and the parallel engine (workers=GOMAXPROCS)
-// — the headline ratio the CI bench-smoke step records. Artifacts are
-// byte-identical between the two (see TestArtifactsIdenticalAcross-
-// WorkerCounts); only wall-clock may differ.
+// serial engine (workers=1) and the parallel engine (workers=GOMAXPROCS).
+// Artifacts are byte-identical between the two (see TestArtifacts-
+// IdenticalAcrossWorkerCounts); only wall-clock may differ.
 func BenchmarkExperimentSuite(b *testing.B) {
-	report := suiteReport{
-		Schema:     "flashmark-bench-experiments/v1",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Fast:       true,
-		Modes:      map[string]suiteMode{},
-	}
 	for _, m := range []struct {
 		name    string
 		workers int
@@ -78,28 +40,12 @@ func BenchmarkExperimentSuite(b *testing.B) {
 	} {
 		b.Run(m.name, func(b *testing.B) {
 			best := time.Duration(0)
-			var bestPer map[string]int64
 			for i := 0; i < b.N; i++ {
-				total, per := runSuite(b, m.workers)
-				if best == 0 || total < best {
-					best, bestPer = total, per
+				if total := runSuite(b, m.workers); best == 0 || total < best {
+					best = total
 				}
 			}
 			b.ReportMetric(best.Seconds(), "suite-s")
-			report.Modes[m.name] = suiteMode{Workers: m.workers, TotalNs: best.Nanoseconds(), Experiments: bestPer}
 		})
-	}
-	if s, p := report.Modes["serial"], report.Modes["parallel"]; p.TotalNs > 0 {
-		report.Speedup = float64(s.TotalNs) / float64(p.TotalNs)
-	}
-	if *benchJSON == "" {
-		return
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }

@@ -23,19 +23,19 @@ import (
 	"github.com/flashmark/flashmark/internal/wmcode"
 )
 
-func mustDevice(b *testing.B, seed uint64) flashmark.Device {
-	b.Helper()
+func mustDevice(tb testing.TB, seed uint64) flashmark.Device {
+	tb.Helper()
 	dev, err := flashmark.NewDevice(flashmark.PartSmallSim(), seed)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return dev
 }
 
-func mustImprint(b *testing.B, dev flashmark.Device, wm []uint64, npe int) {
-	b.Helper()
+func mustImprint(tb testing.TB, dev flashmark.Device, wm []uint64, npe int) {
+	tb.Helper()
 	if err := flashmark.Imprint(dev, 0, wm, flashmark.ImprintOptions{NPE: npe, Accelerated: true}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 }
 

@@ -5,9 +5,8 @@
 // HTTP with bounded open-loop concurrency. The measured SLOs — verify
 // latency percentiles, sustained verifies/sec, enroll throughput, shed
 // rate — are written as BENCH_service.json (schema
-// flashmark-bench-service/v1) for scripts/check_bench.sh to gate
-// against scripts/bench_service_baseline.json, the same loop the
-// physics and registry benches already close in CI.
+// flashmark-bench-service/v1), which scripts/loadgen_slo.sh gates
+// against its SLO bands.
 //
 // Usage:
 //

@@ -209,6 +209,20 @@ func TestRunEndToEnd(t *testing.T) {
 	if round != rep {
 		t.Fatal("report did not round-trip through JSON")
 	}
+	// scripts/loadgen_slo.sh bands these fields: each must stay a JSON
+	// number under its name, or the live SLO gate fails.
+	var fields map[string]any
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{
+		"verify_p99_ms", "verify_p999_ms", "verifies_per_sec", "enrolls_per_sec",
+		"shed_rate", "shed_429", "duplicate_id_verdicts", "http_errors",
+	} {
+		if _, ok := fields[k].(float64); !ok {
+			t.Errorf("report field %q = %v, want a number", k, fields[k])
+		}
+	}
 }
 
 // TestRunBoundedConcurrency squeezes the in-flight cap to force

@@ -9,10 +9,8 @@ import (
 )
 
 // Report is the BENCH_service.json payload (schema
-// flashmark-bench-service/v1), the service-level counterpart of
-// BENCH_physics.json and BENCH_registry.json. Field names are globally
-// unique on purpose: scripts/check_bench.sh extracts them with a flat
-// first-match scan, so no key may appear twice with different meanings.
+// flashmark-bench-service/v1). scripts/loadgen_slo.sh gates its SLO
+// bands on the top-level field names, so renaming one breaks the gate.
 type Report struct {
 	Schema     string `json:"schema"`
 	GoMaxProcs int    `json:"go_max_procs"`
@@ -101,8 +99,7 @@ func BuildReport(cfg Config, res *Result) Report {
 	return rep
 }
 
-// WriteFile writes the report as indented JSON, the layout
-// scripts/check_bench.sh's field scanner expects.
+// WriteFile writes the report as indented JSON.
 func (r Report) WriteFile(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {

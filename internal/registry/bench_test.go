@@ -1,91 +1,17 @@
 package registry
 
 // Registry benchmarks: hot-path lookup latency against a fleet-sized
-// index (1M enrolled ids; acceptance: sub-microsecond and zero
-// allocations), plus durable group-commit enrollment throughput. With
-// -regjson the results are written as BENCH_registry.json (schema
-// flashmark-bench-registry/v1), which CI gates via
-// scripts/check_bench.sh against the acceptance thresholds.
+// index (1M enrolled ids; acceptance: sub-microsecond), plus durable
+// group-commit enrollment throughput. TestMemoryLookupAllocFree pins
+// the lookup's 0 allocs/op.
 //
 // Run: make bench-registry
-// (equivalently: go test -run xxx -bench 'RegistryLookup|RegistryEnroll' -benchtime 10000x -regjson BENCH_registry.json ./internal/registry)
+// (equivalently: go test -run xxx -bench 'RegistryLookup|RegistryEnroll' -benchtime 10000x ./internal/registry)
 
 import (
-	"encoding/json"
-	"flag"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 )
-
-var regJSON = flag.String("regjson", "", "write registry benchmark results to this JSON file")
-
-// regLookup is the fleet-scale read-path measurement. AllocsOp must be
-// zero and NsOp sub-microsecond: the lookup path is one atomic bump,
-// one striped RLock, one map probe.
-type regLookup struct {
-	NsOp     int64   `json:"ns_op"`
-	AllocsOp float64 `json:"allocs_op"`
-	Keys     int     `json:"keys"`
-}
-
-// regEnroll is the durable write-path measurement; AppendsPerFsync > 1
-// is group commit working (concurrent enrollers sharing fsyncs).
-type regEnroll struct {
-	NsOp            int64   `json:"ns_op"`
-	AppendsPerFsync float64 `json:"appends_per_fsync"`
-}
-
-type regReport struct {
-	Schema     string     `json:"schema"`
-	GoMaxProcs int        `json:"go_max_procs"`
-	GoVersion  string     `json:"go_version"`
-	Lookup     *regLookup `json:"lookup,omitempty"`
-	Enroll     *regEnroll `json:"enroll_durable,omitempty"`
-}
-
-var (
-	regMu  sync.Mutex
-	regOut = regReport{
-		Schema:     "flashmark-bench-registry/v1",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-	}
-)
-
-func writeRegReport() error {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if *regJSON == "" || (regOut.Lookup == nil && regOut.Enroll == nil) {
-		return nil
-	}
-	data, err := json.MarshalIndent(regOut, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(*regJSON, append(data, '\n'), 0o644)
-}
-
-// TestMain flushes the bench report after all benchmarks have finished;
-// it is a no-op for plain test runs.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if err := writeRegReport(); err != nil {
-		os.Stderr.WriteString("regjson: " + err.Error() + "\n")
-		if code == 0 {
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-func benchNsOp(b *testing.B) int64 {
-	if b.N == 0 {
-		return 0
-	}
-	return b.Elapsed().Nanoseconds() / int64(b.N)
-}
 
 // benchFleetKeys is the enrolled-identity count for the lookup
 // benchmark — the "1M ids on file" acceptance scale.
@@ -113,17 +39,20 @@ func fleetIndex() *Memory {
 	return benchFleet
 }
 
+// maxLookupNs is the fleet lookup's acceptance ceiling at
+// benchFleetKeys ids. It is checked once a run reaches lookupGateN
+// lookups (make bench-registry runs 10000x): shorter runs, the testing
+// package's 1-iteration probe among them, time cold first probes.
+const (
+	maxLookupNs = 1000
+	lookupGateN = 10000
+)
+
 // BenchmarkRegistryLookup measures the hot read path against 1M
-// enrolled ids. Acceptance (gated in CI): 0 allocs/op, < 1 µs/op.
+// enrolled ids.
 func BenchmarkRegistryLookup(b *testing.B) {
 	m := fleetIndex()
 	k := Key{Manufacturer: "acme"}
-	allocs := testing.AllocsPerRun(100, func() {
-		k.DieID = 12345
-		if _, ok := m.Lookup(k); !ok {
-			b.Fatal("lookup miss")
-		}
-	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -135,9 +64,9 @@ func BenchmarkRegistryLookup(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	regMu.Lock()
-	regOut.Lookup = &regLookup{NsOp: benchNsOp(b), AllocsOp: allocs, Keys: benchFleetKeys}
-	regMu.Unlock()
+	if ns := b.Elapsed().Nanoseconds() / int64(b.N); b.N >= lookupGateN && ns > maxLookupNs {
+		b.Fatalf("lookup %d ns/op at %d keys exceeds the %d ns ceiling", ns, benchFleetKeys, maxLookupNs)
+	}
 }
 
 // BenchmarkRegistryEnroll measures durable enrollment throughput with
@@ -178,7 +107,4 @@ func BenchmarkRegistryEnroll(b *testing.B) {
 		perFsync = float64(st.WALAppends) / float64(st.WALFsyncs)
 	}
 	b.ReportMetric(perFsync, "appends/fsync")
-	regMu.Lock()
-	regOut.Enroll = &regEnroll{NsOp: benchNsOp(b), AppendsPerFsync: perFsync}
-	regMu.Unlock()
 }

@@ -1,14 +1,13 @@
 #!/usr/bin/env sh
 # Service-level SLO scenario: build fmverifyd and fmloadgen, prove the
 # load schedule is reproducible (two -plan-only runs must print the same
-# digest), and drive a live daemon with the fixed CI scenario. The
-# measured BENCH_service.json is gated separately by
-# `make loadgen-check` via scripts/check_bench.sh — the same
-# measure-then-gate split the physics and registry benches use.
+# digest), drive live daemons with the fixed CI scenario in three phases
+# (steady, overdrive, cluster), and fail unless each phase's report
+# holds its SLO bands.
 #
 # Usage: scripts/loadgen_slo.sh [workdir]
-# Artifacts (BENCH_service.json, /metrics snapshot, daemon log) are left
-# in the workdir (default: ./loadgen-out) for CI upload.
+# Artifacts (the BENCH_service*.json reports, /metrics snapshot, daemon
+# logs) are left in the workdir (default: ./loadgen-out) for CI upload.
 set -eu
 
 workdir=${1:-loadgen-out}
@@ -17,11 +16,40 @@ base="http://$addr"
 key=loadgen-key
 seed=20260808
 
-# The fixed CI scenario. Offered load is deliberately modest for shared
-# runners: the gate checks SLO bands, not peak throughput (see DESIGN.md
-# "SLO methodology" for how the bands were chosen and re-recorded).
+# The fixed CI scenario and its steady-phase SLO bands (FIELD OP BOUND
+# over the report). Offered load is deliberately modest for shared
+# runners: the bands check acceptance, not peak throughput, and hold
+# only for this scenario, so change them together (see DESIGN.md "SLO
+# methodology").
 scenario="-seed $seed -rate 120 -duration 8s -inflight 64 \
     -fleet-genuine 24 -fleet-clones 8 -fleet-counterfeits 8 -key $key"
+steady_bands="verify_p99_ms <= 1000 verify_p999_ms <= 2500 \
+    verifies_per_sec >= 60 enrolls_per_sec >= 5 shed_rate <= 0.05 \
+    http_errors == 0 duplicate_id_verdicts >= 1"
+
+# bands REPORT FIELD OP BOUND...: print each measured field next to its
+# bound and fail unless every band holds. (.FIELD | numbers) is empty
+# for a missing or non-numeric field, so jq -e exits non-zero instead of
+# comparing null, which jq orders below every number.
+bands() {
+    report=$1
+    shift
+    ok=true
+    while [ "$#" -ge 3 ]; do
+        got=$(jq -c ".$1" "$report")
+        if jq -e "(.$1 | numbers) $2 $3" "$report" >/dev/null; then
+            echo "  $1 = $got ($2 $3)"
+        else
+            echo "FAIL: $1 = $got, want $2 $3" >&2
+            ok=false
+        fi
+        shift 3
+    done
+    if ! $ok; then
+        cat "$report" >&2
+        exit 1
+    fi
+}
 
 mkdir -p "$workdir"
 go build -o "$workdir/fmverifyd" ./cmd/fmverifyd
@@ -64,6 +92,10 @@ done
 # Server-side view of the same run, uploaded next to the client report.
 curl -sf "$base/metrics" >"$workdir/metrics.txt"
 
+echo "steady SLO bands:"
+# shellcheck disable=SC2086
+bands "$workdir/BENCH_service.json" $steady_bands
+
 kill -TERM "$daemon"
 if ! wait "$daemon"; then
     echo "FAIL: daemon did not drain cleanly after the load run" >&2
@@ -76,10 +108,11 @@ trap - EXIT
 # a queue of two, verdict cache off so every request is a real
 # verification) is offered several times its capacity. The SLO here is
 # about *failure shape*, not throughput: the excess must be shed with
-# 429s (shed_429 > 0), shedding must not corrupt any response
-# (http_errors == 0), and the requests that ARE admitted must stay fast
-# (verify_p99_ms bounded) — a bounded queue keeps latency flat where an
-# unbounded one would let the backlog poison every admitted request.
+# 429s (shed_429 > 0), shedding must not corrupt any response (fmloadgen
+# exits non-zero on any HTTP error), and the requests that ARE admitted
+# must stay fast (verify_p99_ms bounded) — a bounded queue keeps latency
+# flat where an unbounded one would let the backlog poison every
+# admitted request.
 od_addr=127.0.0.1:8933
 od_base="http://$od_addr"
 "$workdir/fmverifyd" -addr "$od_addr" -key "$key" -workers 1 -queue 2 -cache -1 \
@@ -103,23 +136,9 @@ done
     -fleet-genuine 24 -fleet-clones 8 -fleet-counterfeits 8 -key "$key" \
     -target "$od_base" -out "$workdir/BENCH_service_overdrive.json"
 
-awk '
-    function num(s) { gsub(/[^0-9.]/, "", s); return s + 0 }
-    /"shed_429":/      { shed = num($2) }
-    /"http_errors":/   { errs = num($2) }
-    /"verify_p99_ms":/ { p99 = num($2) }
-    END {
-        fail = 0
-        if (shed <= 0) { print "FAIL: overdrive shed no load (shed_429 = " shed ")"; fail = 1 }
-        if (errs != 0) { print "FAIL: overdrive produced " errs " HTTP errors"; fail = 1 }
-        if (p99 <= 0 || p99 >= 1500) { print "FAIL: admitted-request verify_p99_ms = " p99 " (want (0, 1500)): shed load polluted served latency"; fail = 1 }
-        if (fail) { exit 1 }
-        print "overdrive OK: shed_429 = " shed ", http_errors = 0, verify_p99_ms = " p99
-    }
-' "$workdir/BENCH_service_overdrive.json" || {
-    cat "$workdir/BENCH_service_overdrive.json" >&2
-    exit 1
-}
+echo "overdrive SLO bands:"
+bands "$workdir/BENCH_service_overdrive.json" \
+    shed_429 '>' 0 verify_p99_ms '>' 0 verify_p99_ms '<' 1500
 
 kill -TERM "$daemon"
 if ! wait "$daemon"; then
@@ -171,21 +190,8 @@ done
 # shellcheck disable=SC2086
 "$workdir/fmloadgen" $scenario -target "$cl_base" -out "$workdir/BENCH_service_cluster.json"
 
-awk '
-    function num(s) { gsub(/[^0-9.]/, "", s); return s + 0 }
-    /"duplicate_id_verdicts":/ { dups = num($2) }
-    /"http_errors":/           { errs = num($2) }
-    END {
-        fail = 0
-        if (dups < 1) { print "FAIL: cluster phase detected no duplicate ids (duplicate_id_verdicts = " dups ")"; fail = 1 }
-        if (errs != 0) { print "FAIL: cluster phase produced " errs " HTTP errors"; fail = 1 }
-        if (fail) { exit 1 }
-        print "cluster detection OK: duplicate_id_verdicts = " dups ", http_errors = 0"
-    }
-' "$workdir/BENCH_service_cluster.json" || {
-    cat "$workdir/BENCH_service_cluster.json" >&2
-    exit 1
-}
+echo "cluster SLO bands:"
+bands "$workdir/BENCH_service_cluster.json" duplicate_id_verdicts '>=' 1
 
 keys_a=$(curl -sf "http://$shard_a_metrics/metrics" | awk '/^fmregistry_keys/ { print $2 }')
 keys_b=$(curl -sf "http://$shard_b_metrics/metrics" | awk '/^fmregistry_keys/ { print $2 }')
