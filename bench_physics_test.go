@@ -3,8 +3,9 @@
 // evaluation (device.PhysicsReference) on the three operations the
 // paper's procedures spend their time in — segment erase cycles,
 // verification extraction, and the Fig. 3/4 characterization sweep —
-// plus the steady-state read path. Each pair fails when its
-// reference/fast speedup falls more than 20% below the recorded value;
+// plus the steady-state read path. Each pair runs interleaved rounds
+// and fails when its reference/fast speedup, taken over each path's best
+// round, falls more than 20% below the recorded value;
 // TestSteadyStateReadAllocFree pins the 0-alloc read path.
 //
 // Run: make bench-physics
@@ -29,24 +30,38 @@ func physDevice(tb testing.TB, seed uint64, p device.PhysicsPath) flashmark.Devi
 	return dev
 }
 
-// benchPhysPaths runs body as one sub-benchmark per physics path, then
-// fails if the speedup (reference ns/op over fast ns/op) fell more than
-// 20% below recorded, the value measured on one core when the fast path
-// landed. Ratios track the code; raw ns/op track the runner. It returns
-// the speedup, or 0 when a -bench filter ran only one path.
+// physRounds is how many interleaved rounds of each path
+// benchPhysPaths runs. A neighbor's load on a shared host can only add
+// time to a round, so each path's best round is the steadiest estimate
+// of what its code costs, and interleaving exposes both paths to the
+// same spells of load.
+const physRounds = 3
+
+// benchPhysPaths runs body as one sub-benchmark per physics path,
+// physRounds times in turn, then fails if the speedup (the reference
+// path's best ns/op over the fast path's) fell more than 20% below
+// recorded, the value measured on one core when the fast path landed.
+// Ratios track the code; raw ns/op track the runner. It returns the
+// speedup, or 0 when a -bench filter ran only one path.
 func benchPhysPaths(b *testing.B, recorded float64, body func(b *testing.B, p device.PhysicsPath)) float64 {
-	var nsOp [2]float64
-	for i, p := range [2]device.PhysicsPath{device.PhysicsFast, device.PhysicsReference} {
-		b.Run(string(p), func(b *testing.B) {
-			body(b, p)
-			nsOp[i] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		})
+	var best [2]float64
+	for r := 0; r < physRounds; r++ {
+		for i, p := range [2]device.PhysicsPath{device.PhysicsFast, device.PhysicsReference} {
+			var nsOp float64
+			b.Run(string(p), func(b *testing.B) {
+				body(b, p)
+				nsOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			})
+			if nsOp > 0 && (best[i] == 0 || nsOp < best[i]) {
+				best[i] = nsOp
+			}
+		}
 	}
-	if nsOp[0] == 0 || nsOp[1] == 0 {
+	if best[0] == 0 || best[1] == 0 {
 		return 0
 	}
-	speedup := nsOp[1] / nsOp[0]
-	b.Logf("speedup %.2fx (recorded %.1fx)", speedup, recorded)
+	speedup := best[1] / best[0]
+	b.Logf("speedup %.2fx over the best of %d rounds (recorded %.1fx)", speedup, physRounds, recorded)
 	if speedup < 0.8*recorded {
 		b.Fatalf("speedup %.2fx fell more than 20%% below the recorded %.1fx", speedup, recorded)
 	}

@@ -31,9 +31,17 @@ package flashctl
 // the observation costs no quantile; a bracket that straddles the
 // decision boundary materializes the cell by replaying the reference
 // arithmetic operation for operation, so the stored value — and every
-// downstream artifact — is bit-identical to the reference path. The
-// equivalence suite (fastpath_equiv_test.go, the golden-equivalence
-// experiment test) pins this.
+// downstream artifact — is bit-identical to the reference path.
+//
+// On a barely worn cell not even that is needed. Where the float32
+// store cannot see the quantile term (floatgate.PinnedMargin), the
+// partial erase stores the margin outright from the wear group's
+// quantile grid, and a materialization stores it from its evaluated
+// neighbors, with no quantile of the cell's own. Both tests run only in
+// groups where a pin can succeed (floatgate.Model.Pinnable), so worn
+// groups pay nothing for them. The equivalence suite
+// (equivalence_test.go, pin_test.go, the golden-equivalence experiment
+// test) pins all of this.
 //
 // Wear is never deferred: it is updated eagerly and exactly on every
 // operation, because wear feeds the *next* operation's physics.
@@ -46,6 +54,7 @@ package flashctl
 
 import (
 	"math"
+	"slices"
 
 	"github.com/flashmark/flashmark/internal/device"
 	"github.com/flashmark/flashmark/internal/floatgate"
@@ -100,7 +109,10 @@ type tauGroup struct {
 	tempF   float64          // TempFactor at defer time
 	p0Us    float64          // the deferring partial-erase pulse, µs
 	logFrom int              // pulseLog index of the first later pulse
+	pinOn   bool             // pins can succeed here (Model.Pinnable)
+	pin     floatgate.PinGrid
 
+	size    int       // cells the creating operation deferred
 	members []int32   // local cell indices, ascending u
 	q       []float64 // memoized exact quantiles per member (NaN = none)
 	evalPos []int32   // member positions with exact q, ascending
@@ -255,11 +267,12 @@ func (g *tauGroup) exactQ(fs *fastSeg, pos int32) float64 {
 // bracketQ returns bounds on the member's exact quantile, derived from
 // already-evaluated members in u order (the numeric quantile is monotone
 // in u up to floatgate.QuantilePad). If nothing is evaluated at or above
-// pos, the group's top member is evaluated once — it bounds every member
-// from above. Equal bounds mean the value is exact.
-func (g *tauGroup) bracketQ(fs *fastSeg, pos int32) (qlo, qhi float64) {
+// pos, evalTop evaluates the group's top member once — it bounds every
+// member from above — and without it ok is false. Equal bounds mean the
+// value is exact.
+func (g *tauGroup) bracketQ(fs *fastSeg, pos int32, evalTop bool) (qlo, qhi float64, ok bool) {
 	if q := g.q[pos]; !math.IsNaN(q) {
-		return q, q
+		return q, q, true
 	}
 	lo, hi := 0, len(g.evalPos)
 	for lo < hi {
@@ -275,14 +288,25 @@ func (g *tauGroup) bracketQ(fs *fastSeg, pos int32) (qlo, qhi float64) {
 		qlo = floatgate.PadQLow(g.q[g.evalPos[lo-1]])
 	}
 	if lo < len(g.evalPos) {
-		return qlo, floatgate.PadQHigh(g.q[g.evalPos[lo]])
+		return qlo, floatgate.PadQHigh(g.q[g.evalPos[lo]]), true
+	}
+	if !evalTop {
+		return 0, 0, false
 	}
 	last := int32(len(g.members) - 1)
 	q := g.exactQ(fs, last)
 	if last == pos {
-		return q, q
+		return q, q, true
 	}
-	return qlo, floatgate.PadQHigh(q)
+	return qlo, floatgate.PadQHigh(q), true
+}
+
+// pinnedAtDefer returns the margin this operation's pulse stores for a
+// programmed cell when the group's quantile grid pins it.
+func (g *tauGroup) pinnedAtDefer(fs *fastSeg, local int32) (float32, bool) {
+	return g.pin.Pin(&g.env, fs.bases[local].U, func(q float64) float32 {
+		return nor.ClampMargin(g.p0Us - g.tauOf(fs, local, q))
+	})
 }
 
 // chainMargin pushes a crossing-time value through the float chain the
@@ -306,7 +330,7 @@ func (fs *fastSeg) marginBracket(g *tauGroup, local int32) (lo, hi float64) {
 		return m, m
 	}
 	pos := fs.posOf[local]
-	qlo, qhi := g.bracketQ(fs, pos)
+	qlo, qhi, _ := g.bracketQ(fs, pos, true)
 	lo = fs.chainMargin(g, g.tauOf(fs, local, qhi))
 	if qlo == qhi {
 		return lo, lo
@@ -315,19 +339,41 @@ func (fs *fastSeg) marginBracket(g *tauGroup, local int32) (lo, hi float64) {
 	return lo, hi
 }
 
+// pinnedByNeighbors returns a deferred member's margin when its
+// already-evaluated neighbors pin it (floatgate.PinnedMargin), evaluating
+// no quantile.
+func (fs *fastSeg) pinnedByNeighbors(g *tauGroup, local int32) (float32, bool) {
+	qlo, qhi, ok := g.bracketQ(fs, fs.posOf[local], false)
+	if !ok {
+		return 0, false
+	}
+	return floatgate.PinnedMargin(qlo, qhi, func(q float64) float32 {
+		return float32(fs.chainMargin(g, g.tauOf(fs, local, q)))
+	})
+}
+
 // materializeCell computes a deferred cell's exact margin by replaying
 // the reference arithmetic — the defer-time partial-erase store, then
 // every later partial-erase pulse in order, each through the float32
-// store — and makes the cell concrete.
+// store — and makes the cell concrete. In a group where pins can
+// succeed, a margin its neighbors already pin is stored as is, with no
+// quantile of its own.
 func (c *Controller) materializeCell(fs *fastSeg, local int32) {
 	g := fs.groups[fs.group[local]]
+	cell := fs.seg*fs.cells + int(local)
+	if g.pinOn {
+		if v, ok := fs.pinnedByNeighbors(g, local); ok {
+			c.array.SetMargin(cell, float64(v))
+			fs.clearDeferred(local)
+			return
+		}
+	}
 	var tau float64
 	if g.direct {
 		tau = g.tauOf(fs, local, 0)
 	} else {
 		tau = g.tauOf(fs, local, g.exactQ(fs, fs.posOf[local]))
 	}
-	cell := fs.seg*fs.cells + int(local)
 	c.array.SetMargin(cell, g.p0Us-tau)
 	for _, p := range fs.pulseLog[g.logFrom:] {
 		c.array.SetMargin(cell, c.array.Margin(cell)+p)
@@ -465,14 +511,16 @@ func (c *Controller) partialEraseFast(seg int, pulseUs float64) {
 				if gid < 0 {
 					g, id := fs.newGroup()
 					env := c.model.TauEnvAt(wear[i])
+					retUs := c.model.RetentionShiftUs(wear[i], c.ageYears)
 					*g = tauGroup{
 						wearKey: wearKey,
 						env:     env,
 						direct:  env.Wear <= 0 || env.Spread == 0,
 						hasRet:  c.ageYears > 0,
-						retUs:   c.model.RetentionShiftUs(wear[i], c.ageYears),
+						retUs:   retUs,
 						tempF:   tempF,
 						p0Us:    pulseUs,
+						pinOn:   c.model.Pinnable(&env, tempF, retUs, pulseUs),
 						members: g.members,
 						q:       g.q,
 						evalPos: g.evalPos,
@@ -480,12 +528,22 @@ func (c *Controller) partialEraseFast(seg int, pulseUs float64) {
 					gid = id
 				}
 				g := fs.groups[gid]
-				if g.direct {
+				v, pinned := float32(0), false
+				if g.pinOn {
+					v, pinned = g.pinnedAtDefer(fs, local)
+				}
+				switch {
+				case g.direct:
 					// No quantile term: the margin is as cheap to compute
 					// as to defer.
 					margins[i] = nor.ClampMargin(pulseUs - g.tauOf(fs, local, 0))
-				} else {
+				case pinned:
+					// The store cannot see the quantile: the cell stays
+					// concrete and never joins the group.
+					margins[i] = v
+				default:
 					fs.group[local] = gid
+					g.size++
 					fs.live++
 					margins[i] = float32(math.NaN()) // fail loud if observed raw
 					deferred = true
@@ -509,7 +567,13 @@ func (c *Controller) partialEraseFast(seg int, pulseUs float64) {
 		fs.pulseLog = append(fs.pulseLog, pulseUs)
 	}
 	for j := groupsFrom; j < len(fs.groups); j++ {
-		fs.groups[j].logFrom = len(fs.pulseLog)
+		g := fs.groups[j]
+		g.logFrom = len(fs.pulseLog)
+		// Size the member slices once for the walk below and for every
+		// quantile exactQ may record.
+		g.members = slices.Grow(g.members, g.size)
+		g.q = slices.Grow(g.q, g.size)
+		g.evalPos = slices.Grow(g.evalPos, g.size)
 	}
 	// Attach members in u order by walking the segment's immutable
 	// u-sorted cell order once.

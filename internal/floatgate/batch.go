@@ -1,6 +1,7 @@
 package floatgate
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -92,6 +93,119 @@ const QuantilePad = 1e-9
 // a safe lower/upper bound for the quantile at any smaller/larger u.
 func PadQLow(q float64) float64  { return q * (1 - QuantilePad) }
 func PadQHigh(q float64) float64 { return q * (1 + QuantilePad) }
+
+// Pinned margins. A partial erase stores a programmed cell's margin as
+// the float32 of p − tau (the NOR controller adds each later pulse and
+// stores again). On a barely worn cell the quantile term G(w)·Q moves
+// that margin by less than one float32 step, so the stored value is
+// known before the quantile is. A margin is *pinned* when both ends of
+// a padded quantile bracket, pushed through the exact store chain, give
+// the same float32. Every step of the chain is monotone in q, so the
+// cell's own quantile, which the bracket holds, stores that same value:
+// a pinned margin is the reference margin bit for bit.
+
+// MarginStore maps a quantile term to the float32 margin the caller's
+// exact store chain keeps for it. It must be monotone non-increasing in
+// q, as tau + retention, the temperature factor, p − tau and every
+// float32 store are.
+type MarginStore func(q float64) float32
+
+// PinnedMargin returns the margin store keeps for every quantile in
+// [qlo, qhi], or false when the two ends store different values.
+func PinnedMargin(qlo, qhi float64, store MarginStore) (float32, bool) {
+	v := store(qhi)
+	if qlo != qhi && store(qlo) != v {
+		return 0, false
+	}
+	return v, true
+}
+
+// The PinGrid points: pinBulk uniform points j/pinBulk, then 1 − 2^−m
+// for m = pinBulkLog2+1 … pinTailLog2, where the quantile is steep.
+const (
+	pinBulkLog2 = 5
+	pinBulk     = 1 << pinBulkLog2
+	pinTailLog2 = 20
+
+	// PinGridPoints is the number of points in a PinGrid.
+	PinGridPoints = pinBulk + pinTailLog2 - pinBulkLog2
+)
+
+// pinGateStep is how far Q rises across a typical low-u grid interval,
+// the kind of interval a pin needs on a lightly worn cell (Pinnable).
+const pinGateStep = 0.5 / pinBulk
+
+// PinGrid brackets the quantile term of cells whose own quantile was
+// never evaluated, for one wear group. Entry j is the exact quantile
+// TauEnv.QuantileU at the fixed point pinU(j), evaluated when a bracket
+// first needs it (zero until then; entry 0 is Q(0) = 0 itself). A cell's
+// bracket is the padded pair of grid quantiles around its u, so it is
+// sound for the same reason a neighbor bracket is (QuantilePad). The
+// grid is a plain array, so a wear group keeps one inline, the zero
+// value is ready, and no operation allocates one.
+type PinGrid [PinGridPoints]float64
+
+// pinU returns the u of grid point j.
+func pinU(j int) float64 {
+	if j < pinBulk {
+		return float64(j) / pinBulk
+	}
+	return 1 - math.Ldexp(1, -(j-pinBulk+pinBulkLog2+1))
+}
+
+// pinInterval returns the grid points around u (pinU(lo) ≤ u ≤
+// pinU(hi)); ok is false above the deepest tail point.
+func pinInterval(u float64) (lo, hi int, ok bool) {
+	if u < float64(pinBulk-1)/pinBulk {
+		j := int(u * pinBulk) // exact: the scale is a power of two
+		return j, j + 1, true
+	}
+	// 1−u is exact here, and lies in [2^(e−1), 2^e): u is above the
+	// point 1−2^e and at or below the point 1−2^(e−1).
+	_, e := math.Frexp(1 - u)
+	hi = pinBulk - pinBulkLog2 - e
+	if hi >= PinGridPoints {
+		return 0, 0, false
+	}
+	return hi - 1, hi, true
+}
+
+func (g *PinGrid) at(env *TauEnv, j int) float64 {
+	q := g[j]
+	if q == 0 && j > 0 {
+		q = env.QuantileU(pinU(j))
+		g[j] = q
+	}
+	return q
+}
+
+// Pin returns the margin store keeps for the cell at u when the grid
+// bracket pins it. Cells above the deepest tail point never pin.
+func (g *PinGrid) Pin(env *TauEnv, u float64, store MarginStore) (float32, bool) {
+	lo, hi, ok := pinInterval(u)
+	if !ok {
+		return 0, false
+	}
+	return PinnedMargin(PadQLow(g.at(env, lo)), PadQHigh(g.at(env, hi)), store)
+}
+
+// Pinnable reports whether pins can pay for their grid in a wear group:
+// whether a typical low-u grid interval moves a typical margin of the
+// group by less than one float32 step. A typical margin is the pulse
+// minus the group's mean crossing time, widened by one manufacturing
+// sigma; retUs and tempF are the retention shift and temperature factor
+// the caller's store chain applies to tau (0 and 1 when it has none).
+// Worn groups fail the test and so pay no grid quantile, and a group
+// with no quantile term has nothing to skip.
+func (m *Model) Pinnable(env *TauEnv, tempF, retUs, pulseUs float64) bool {
+	if env.Wear <= 0 || env.Spread == 0 {
+		return false
+	}
+	tau := (m.params.TauBaseMeanUs + env.Shift + env.Spread + retUs) * tempF
+	margin := float32(math.Abs(pulseUs-tau) + m.params.TauBaseSigmaUs*tempF)
+	step := float64(math.Nextafter32(margin, math.MaxFloat32) - margin)
+	return tempF*env.Spread*pinGateStep < step
+}
 
 // BasesInto fills dst with the immutable parameters of the first `cells`
 // cells of segment seg, reusing dst's capacity, and returns the filled

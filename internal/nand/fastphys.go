@@ -16,10 +16,13 @@ import (
 // at the same wear, and the adaptive-erase max rides the pruned
 // floatgate.MaxTauGroup kernel over per-block CellBase caches and
 // U-orders, which every later adaptive erase of the block reuses (the
-// reference TauAt re-derives the die RNG per call). All of it is a reorganization of the
-// reference arithmetic — results are bit-identical, pinned by the
-// equivalence tests — and the reference per-cell loops remain selectable
-// through device.PhysicsSelector.
+// reference TauAt re-derives the die RNG per call). A partial erase
+// stores a programmed cell's margin without its Gamma quantile wherever
+// the float32 store cannot see the quantile term (floatgate.PinGrid).
+// All of it is a reorganization of the reference arithmetic — results
+// are bit-identical, pinned by the equivalence tests — and the
+// reference per-cell loops remain selectable through
+// device.PhysicsSelector.
 
 // PhysicsPath reports which physics implementation the device runs.
 func (d *Device) PhysicsPath() device.PhysicsPath {
@@ -85,18 +88,42 @@ func appendWearGroup(groups []nandWearGroup, key uint64, env floatgate.TauEnv) [
 	return append(groups, nandWearGroup{key: key, env: env})
 }
 
-// envFor returns the hoisted tau environment for wear w, reusing this
-// op's already-built group when the wear value repeats (the common case:
-// a stress leaves two wear classes, one per watermark polarity).
-func (d *Device) envFor(w float64) *floatgate.TauEnv {
+// peGroup is one wear group of a partial erase: the hoisted tau terms,
+// and the quantile grid that pins its cells' margins where the float32
+// store cannot see the quantile (floatgate.PinGrid).
+type peGroup struct {
+	key   uint64 // math.Float64bits of the wear
+	env   floatgate.TauEnv
+	pinOn bool // pins can succeed here (Model.Pinnable)
+	pin   floatgate.PinGrid
+}
+
+// peGroupFor returns this partial erase's group for wear w, building it
+// on the wear value's first appearance (the common case: a stress leaves
+// two wear classes, one per watermark polarity). Groups live in
+// per-device scratch, so no operation allocates.
+func (d *Device) peGroupFor(w, pulseUs float64) *peGroup {
 	key := math.Float64bits(w)
-	for j := range d.envScratch {
-		if d.envScratch[j].key == key {
-			return &d.envScratch[j].env
+	for j := range d.peScratch {
+		if d.peScratch[j].key == key {
+			return &d.peScratch[j]
 		}
 	}
-	d.envScratch = appendWearGroup(d.envScratch, key, d.model.TauEnvAt(w))
-	return &d.envScratch[len(d.envScratch)-1].env
+	d.peScratch = append(d.peScratch, peGroup{key: key, env: d.model.TauEnvAt(w)})
+	g := &d.peScratch[len(d.peScratch)-1]
+	g.pinOn = d.model.Pinnable(&g.env, 1, 0, pulseUs)
+	return g
+}
+
+// pinned returns the margin the pulse stores for a programmed cell of
+// the group when the group's quantile grid pins it.
+func (g *peGroup) pinned(base floatgate.CellBase, pulseUs float64) (float32, bool) {
+	if !g.pinOn {
+		return 0, false
+	}
+	return g.pin.Pin(&g.env, base.U, func(q float64) float32 {
+		return nor.ClampMargin(pulseUs - g.env.TauFromQ(base, q))
+	})
 }
 
 // maxTauOver computes max TauAt(block, i, wearOf(i)) over the included
@@ -168,7 +195,8 @@ func (d *Device) maxTauOver(block int, include func(i int) bool, wearOf func(i i
 // adaptive-erase max has built one, and is derived on the spot
 // otherwise: a verification partial-erases each block it touches once,
 // so building the cache (and the U-order beside it) would cost more
-// than it ever saves.
+// than it ever saves. A cell whose margin its wear group's quantile grid
+// pins is stored without a quantile of its own.
 func (d *Device) partialEraseBlockFast(block int, pulseUs float64) {
 	var bases []floatgate.CellBase
 	if d.bases != nil {
@@ -177,7 +205,7 @@ func (d *Device) partialEraseBlockFast(block int, pulseUs float64) {
 	margins, wear := d.cells.CellSpan(block)
 	fullWear := d.model.EraseWear(true)
 	eraseOnly := d.model.EraseWear(false)
-	d.envScratch = d.envScratch[:0]
+	d.peScratch = d.peScratch[:0]
 	for i := range margins {
 		m := margins[i]
 		switch {
@@ -188,8 +216,12 @@ func (d *Device) partialEraseBlockFast(block int, pulseUs float64) {
 			} else {
 				base = d.model.Base(block, i)
 			}
-			tau := d.envFor(wear[i]).Tau(base)
-			margins[i] = nor.ClampMargin(pulseUs - tau)
+			g := d.peGroupFor(wear[i], pulseUs)
+			v, ok := g.pinned(base, pulseUs)
+			if !ok {
+				v = nor.ClampMargin(pulseUs - g.env.Tau(base))
+			}
+			margins[i] = v
 			wear[i] += fullWear
 		case m >= nor.MarginErased:
 			wear[i] += eraseOnly

@@ -121,7 +121,7 @@ type Device struct {
 	maxScratch floatgate.MaxTauScratch
 	gidScratch []int32
 	wgScratch  []nandWearGroup
-	envScratch []nandWearGroup
+	peScratch  []peGroup
 }
 
 // norGeomFor maps a NAND geometry onto the nor.Array cell store: one

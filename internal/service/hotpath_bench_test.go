@@ -18,18 +18,23 @@ import (
 //
 // Run: make bench-hotpath
 
-// hotPaths are the two request paths, each with its hard allocs/op
-// ceiling. The allocation profile is deterministic (a miss measures
-// ~139, a hit 7), so any excess is a lifecycle regression — a dropped
-// pool, a reflection encoder creeping back in — not runner noise; the
-// headroom is for stdlib drift.
+// hotPaths are the request paths, each with its hard allocs/op
+// ceiling. miss-screen is a miss with the recycling screen on, as
+// fmverifyd runs by default (-recycling-screen); the other rows use the
+// package's test verifier, which leaves it off. The allocation profile
+// is deterministic (a miss measures 71, a screened miss 95, a hit 7),
+// so any excess is a lifecycle regression — a dropped pool, a
+// reflection encoder creeping back in — not runner noise; the headroom
+// is for stdlib drift.
 var hotPaths = []struct {
 	name         string
 	cacheEntries int
+	screen       bool
 	maxAllocs    float64
 }{
-	{"miss", -1, 200},
-	{"hit", 0, 16},
+	{"miss", -1, false, 200},
+	{"miss-screen", -1, true, 200},
+	{"hit", 0, false, 16},
 }
 
 // minMissChipsPerSec is a deliberately loose throughput floor for the
@@ -90,10 +95,13 @@ func (r *rewindReader) Read(p []byte) (int, error) {
 func (r *rewindReader) Close() error { return nil }
 
 // newHotDriver drives a single-worker server with the given verdict
-// cache size (negative turns the cache off, as on the miss path).
-func newHotDriver(tb testing.TB, cacheEntries int) *hotDriver {
+// cache size (negative turns the cache off, as on the miss path) and,
+// when screen is set, the recycling screen on.
+func newHotDriver(tb testing.TB, cacheEntries int, screen bool) *hotDriver {
 	tb.Helper()
-	s, err := New(Config{Verifier: testVerifier(), Workers: 1, CacheEntries: cacheEntries})
+	v := testVerifier()
+	v.CheckRecycling = screen
+	s, err := New(Config{Verifier: v, Workers: 1, CacheEntries: cacheEntries})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -119,8 +127,8 @@ func (d *hotDriver) verify(tb testing.TB) {
 	}
 }
 
-// TestVerifyHotPathAllocs holds both request paths under their
-// allocs/op ceilings. The race detector makes sync.Pool (bodyScratch,
+// TestVerifyHotPathAllocs holds every request path under its allocs/op
+// ceiling. The race detector makes sync.Pool (bodyScratch,
 // chipLoaders) drop items on purpose, so the count is only meaningful
 // without it.
 func TestVerifyHotPathAllocs(t *testing.T) {
@@ -128,10 +136,12 @@ func TestVerifyHotPathAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	for _, p := range hotPaths {
-		d := newHotDriver(t, p.cacheEntries)
+		d := newHotDriver(t, p.cacheEntries, p.screen)
 		// AllocsPerRun's own warm-up call fills the pools and, on the
 		// hit path, the verdict cache.
-		if allocs := testing.AllocsPerRun(10, func() { d.verify(t) }); allocs > p.maxAllocs {
+		allocs := testing.AllocsPerRun(10, func() { d.verify(t) })
+		t.Logf("%s: %v allocs/op", p.name, allocs)
+		if allocs > p.maxAllocs {
 			t.Errorf("%s: %v allocs/op exceeds the hard ceiling %v", p.name, allocs, p.maxAllocs)
 		}
 	}
@@ -144,7 +154,7 @@ func TestVerifyHotPathAllocs(t *testing.T) {
 func BenchmarkVerifyHotPath(b *testing.B) {
 	for _, p := range hotPaths {
 		b.Run(p.name, func(b *testing.B) {
-			d := newHotDriver(b, p.cacheEntries)
+			d := newHotDriver(b, p.cacheEntries, p.screen)
 			d.verify(b) // warm the pools and, on the hit path, the verdict cache
 			b.ReportAllocs()
 			b.ResetTimer()
