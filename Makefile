@@ -28,7 +28,7 @@ bench:
 # more than 20% below the recorded value, or characterization below 3x.
 # 3x, not 1x: a single sweep per path is too noisy to gate.
 bench-physics:
-	$(GO) test -run xxx -bench 'BenchmarkSegmentErase|BenchmarkVerify|BenchmarkSegmentCharacterize|BenchmarkSteadyStateRead' -benchtime 3x -v .
+	$(GO) test -run xxx -bench 'BenchmarkSegmentErase|BenchmarkVerify|BenchmarkSegmentCharacterize|BenchmarkSteadyStateRead' -benchtime 3x -v ./internal/flashctl/
 
 # Registry gate: fleet-scale lookup against 1M enrolled ids must stay
 # under 1000 ns/op; durable group-commit enrollment is reported for

@@ -15,9 +15,9 @@ import (
 // the arena hands verified devices back to the next job.
 //
 // The arena is correct by the Refabricator contract: Refabricate(seed)
-// must be indistinguishable from fab(seed) apart from the selected
-// physics path, and it is only ever asserted on the outermost value —
-// decorated devices (fault injectors, tracers) simply are not pooled.
+// must be indistinguishable from fab(seed), and it is only ever
+// asserted on the outermost value — decorated devices (fault
+// injectors, tracers) simply are not pooled.
 type deviceArena struct {
 	fab  device.Fab
 	pool sync.Pool

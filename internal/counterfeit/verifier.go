@@ -29,7 +29,7 @@ type Verifier struct {
 	// RecycledSegments is how many data segments to sample (default 2).
 	RecycledSegments int
 	// RecycledThreshold is the programmed-cell fraction at t_PEW above
-	// which a data segment counts as worn (default 0.10).
+	// which a data segment counts as worn (default 0.04).
 	RecycledThreshold float64
 
 	// Audit, when set, records every verified die identity and flags

@@ -121,65 +121,13 @@ func As[T any](d Device) (T, bool) {
 // to the pristine state a fresh construction with the given seed would
 // produce — in place, reusing their allocations. Population arenas use
 // it to recycle device instances instead of reconstructing them; the
-// contract is exact equivalence with a fresh fabrication, except that
-// a selected physics path survives the reset (fab wrappers like
-// WithPhysicsPath run only at construction and an arena never re-runs
-// them). Unlike the other capabilities, Refabricate must only be
-// asserted on the outermost value, never probed through As: a decorator
-// chain carries per-wrapper state no inner reset can see, so there is
-// deliberately no package-level helper that walks Unwrap for it.
+// contract is exact equivalence with a fresh fabrication. Unlike the
+// other capabilities, Refabricate must only be asserted on the
+// outermost value, never probed through As: a decorator chain carries
+// per-wrapper state no inner reset can see, so there is deliberately
+// no package-level helper that walks Unwrap for it.
 type Refabricator interface {
 	Refabricate(seed uint64) error
-}
-
-// PhysicsPath selects how a backend evaluates its cell physics.
-type PhysicsPath string
-
-const (
-	// PhysicsFast is the batched evaluation: per-segment base caches,
-	// wear-grouped hoisting of the shared tau terms, lazily materialized
-	// partial-erase margins, and pruned adaptive-erase maxima. It is the
-	// default. Results are bit-identical to the reference path (the
-	// golden-equivalence suite pins this), and decorators observe the
-	// same operation sequence: only the arithmetic inside an operation
-	// is reorganized, never the operations themselves.
-	PhysicsFast PhysicsPath = "fast"
-	// PhysicsReference is the original per-cell evaluation, kept as the
-	// executable specification the fast path is tested against.
-	PhysicsReference PhysicsPath = "reference"
-)
-
-// PhysicsSelector is the optional capability of backends that implement
-// both physics paths and can switch between them.
-type PhysicsSelector interface {
-	PhysicsPath() PhysicsPath
-	SetPhysicsPath(PhysicsPath) error
-}
-
-// SetPhysicsPath selects the backend's physics path, reaching through
-// decorator chains. Backends without the capability reject the request.
-func SetPhysicsPath(d Device, p PhysicsPath) error {
-	s, ok := As[PhysicsSelector](d)
-	if !ok {
-		return errors.New("device: backend does not support physics path selection")
-	}
-	return s.SetPhysicsPath(p)
-}
-
-// WithPhysicsPath wraps fab so every fabricated device comes up on the
-// given physics path — how equivalence harnesses run a whole population
-// on the reference path.
-func WithPhysicsPath(fab Fab, p PhysicsPath) Fab {
-	return func(seed uint64) (Device, error) {
-		d, err := fab(seed)
-		if err != nil {
-			return nil, err
-		}
-		if err := SetPhysicsPath(d, p); err != nil {
-			return nil, err
-		}
-		return d, nil
-	}
 }
 
 // Ager is the optional capability of backends that model unpowered

@@ -38,12 +38,6 @@ type Config struct {
 	// each device is its own deterministically seeded simulation and
 	// results are assembled by index (see internal/parallel).
 	Workers int
-	// Physics optionally pins the physics implementation of every device
-	// the experiment fabricates ("fast" or "reference"); the zero value
-	// keeps the backend default (fast). Artifacts are byte-identical for
-	// both values — the golden-equivalence suite renders the whole
-	// registry under each and compares.
-	Physics device.PhysicsPath
 }
 
 func (c Config) withDefaults() Config {
@@ -57,38 +51,7 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) newDevice(sub uint64) (device.Device, error) {
-	return c.open(c.Part, parallel.SubSeed(c.Seed, sub))
-}
-
-// open fabricates one part and applies the configured physics path.
-func (c Config) open(part mcu.Part, seed uint64) (device.Device, error) {
-	d, err := mcu.Open(part, seed)
-	if err != nil {
-		return nil, err
-	}
-	return c.applyPhysics(d)
-}
-
-// applyPhysics pins an already-fabricated device (any backend) to the
-// configured physics path; the zero value leaves the device default.
-func (c Config) applyPhysics(d device.Device) (device.Device, error) {
-	if c.Physics == "" {
-		return d, nil
-	}
-	if err := device.SetPhysicsPath(d, c.Physics); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// fab wraps the part's fabricator so every device it produces runs the
-// configured physics path.
-func (c Config) fab(part mcu.Part) device.Fab {
-	f := mcu.Fab(part)
-	if c.Physics == "" {
-		return f
-	}
-	return device.WithPhysicsPath(f, c.Physics)
+	return mcu.Open(c.Part, parallel.SubSeed(c.Seed, sub))
 }
 
 // pool returns the fan-out engine bounded by the Workers knob.

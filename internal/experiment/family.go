@@ -49,7 +49,7 @@ func Family(cfg Config) (*FamilyResult, error) {
 	var cal core.Calibration
 	err := parallel.ForEach(cfg.pool(), 2, func(i int) error {
 		if i == 0 {
-			d, err := cfg.open(alt, cfg.Seed^0xFA11)
+			d, err := mcu.Open(alt, cfg.Seed^0xFA11)
 			if err != nil {
 				return err
 			}
@@ -70,7 +70,7 @@ func Family(cfg Config) (*FamilyResult, error) {
 		if cfg.Fast {
 			seeds = seeds[:1]
 		}
-		c, err := core.Calibrate(cfg.fab(alt), seeds, npe, core.CalibrateOptions{
+		c, err := core.Calibrate(mcu.Fab(alt), seeds, npe, core.CalibrateOptions{
 			SweepLo:   28 * time.Microsecond,
 			SweepHi:   48 * time.Microsecond,
 			SweepStep: 500 * time.Nanosecond,

@@ -85,9 +85,6 @@ func NANDStudy(cfg Config) (*NANDStudyResult, error) {
 			if err != nil {
 				return sweepOut{}, err
 			}
-			if dev, err = cfg.applyPhysics(dev); err != nil {
-				return sweepOut{}, err
-			}
 			start := dev.Clock().Now()
 			if err := core.ImprintSegment(dev, 0, wm, core.ImprintOptions{NPE: npe, Accelerated: true}); err != nil {
 				return sweepOut{}, err

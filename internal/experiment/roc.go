@@ -6,6 +6,7 @@ import (
 
 	"github.com/flashmark/flashmark/internal/core"
 	"github.com/flashmark/flashmark/internal/counterfeit"
+	"github.com/flashmark/flashmark/internal/mcu"
 	"github.com/flashmark/flashmark/internal/parallel"
 	"github.com/flashmark/flashmark/internal/report"
 	"github.com/flashmark/flashmark/internal/wmcode"
@@ -44,7 +45,7 @@ func ROC(cfg Config) (*ROCResult, error) {
 	}
 	const tpew = 25 * time.Microsecond
 	factory := counterfeit.FactoryConfig{
-		Fab:   cfg.fab(cfg.Part),
+		Fab:   mcu.Fab(cfg.Part),
 		Codec: wmcode.Codec{Key: []byte("k")},
 	}
 	cells := cfg.Part.Geometry.CellsPerSegment()

@@ -5,6 +5,7 @@ import (
 
 	"github.com/flashmark/flashmark/internal/baseline"
 	"github.com/flashmark/flashmark/internal/counterfeit"
+	"github.com/flashmark/flashmark/internal/mcu"
 	"github.com/flashmark/flashmark/internal/parallel"
 	"github.com/flashmark/flashmark/internal/report"
 	"github.com/flashmark/flashmark/internal/wmcode"
@@ -41,7 +42,7 @@ func SupplyChain(cfg Config) (*SupplyResult, error) {
 	}
 	key := []byte("trusted-chipmaker-signing-key")
 	factory := counterfeit.FactoryConfig{
-		Fab:          cfg.fab(cfg.Part),
+		Fab:          mcu.Fab(cfg.Part),
 		Codec:        wmcode.Codec{Key: key},
 		Manufacturer: "TC",
 	}

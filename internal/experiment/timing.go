@@ -107,7 +107,7 @@ func Timing(cfg Config) (*TimingResult, error) {
 			}
 			return itemOut{elapsed: dev.Clock().Now() - start, ledger: dev.Ledger().Sub(startLedger)}, nil
 		default: // "fastnor"
-			fdev, err := cfg.open(mcu.PartFastNOR(), cfg.Seed^0xFA57)
+			fdev, err := mcu.Open(mcu.PartFastNOR(), cfg.Seed^0xFA57)
 			if err != nil {
 				return itemOut{}, err
 			}

@@ -1,6 +1,6 @@
 // Physics fast-path benchmarks: the batched segment-granularity cell
-// physics (device.PhysicsFast) against the per-cell reference
-// evaluation (device.PhysicsReference) on the three operations the
+// physics (the controller default) against the per-cell reference
+// evaluation (flashctl.SetReferencePhysics) on the three operations the
 // paper's procedures spend their time in — segment erase cycles,
 // verification extraction, and the Fig. 3/4 characterization sweep —
 // plus the steady-state read path. Each pair runs interleaved rounds
@@ -9,25 +9,36 @@
 // TestSteadyStateReadAllocFree pins the 0-alloc read path.
 //
 // Run: make bench-physics
-// (equivalently: go test -run xxx -bench 'SegmentErase|Verify|SegmentCharacterize|SteadyStateRead' -benchtime 3x -v .)
-package flashmark_test
+// (equivalently: go test -run xxx -bench 'SegmentErase|Verify|SegmentCharacterize|SteadyStateRead' -benchtime 3x -v ./internal/flashctl/)
+package flashctl_test
 
 import (
 	"testing"
 	"time"
 
-	flashmark "github.com/flashmark/flashmark"
+	"github.com/flashmark/flashmark/internal/core"
 	"github.com/flashmark/flashmark/internal/device"
+	"github.com/flashmark/flashmark/internal/flashctl"
+	"github.com/flashmark/flashmark/internal/mcu"
 )
 
-// physDevice opens a small-sim device pinned to the given physics path.
-func physDevice(tb testing.TB, seed uint64, p device.PhysicsPath) flashmark.Device {
+// physDevice opens a small-sim device on the per-cell reference path
+// when ref is set, on the fast path otherwise.
+func physDevice(tb testing.TB, seed uint64, ref bool) device.Device {
 	tb.Helper()
-	dev := mustDevice(tb, seed)
-	if err := device.SetPhysicsPath(dev, p); err != nil {
+	defer flashctl.SetReferencePhysics(ref)()
+	dev, err := mcu.Open(mcu.PartSmallSim(), seed)
+	if err != nil {
 		tb.Fatal(err)
 	}
 	return dev
+}
+
+func mustImprint(tb testing.TB, dev device.Device, wm []uint64, npe int) {
+	tb.Helper()
+	if err := core.ImprintSegment(dev, 0, wm, core.ImprintOptions{NPE: npe, Accelerated: true}); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // physRounds is how many interleaved rounds of each path
@@ -43,13 +54,13 @@ const physRounds = 3
 // recorded, the value measured on one core when the fast path landed.
 // Ratios track the code; raw ns/op track the runner. It returns the
 // speedup, or 0 when a -bench filter ran only one path.
-func benchPhysPaths(b *testing.B, recorded float64, body func(b *testing.B, p device.PhysicsPath)) float64 {
+func benchPhysPaths(b *testing.B, recorded float64, body func(b *testing.B, ref bool)) float64 {
 	var best [2]float64
 	for r := 0; r < physRounds; r++ {
-		for i, p := range [2]device.PhysicsPath{device.PhysicsFast, device.PhysicsReference} {
+		for i, path := range [2]string{"fast", "reference"} {
 			var nsOp float64
-			b.Run(string(p), func(b *testing.B) {
-				body(b, p)
+			b.Run(path, func(b *testing.B) {
+				body(b, i == 1)
 				nsOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			})
 			if nsOp > 0 && (best[i] == 0 || nsOp < best[i]) {
@@ -72,8 +83,8 @@ func benchPhysPaths(b *testing.B, recorded float64, body func(b *testing.B, p de
 // a worn 4,096-cell segment — the inner loop of imprinting, where the
 // fast path batches tau evaluation over the whole contiguous span.
 func BenchmarkSegmentErase(b *testing.B) {
-	benchPhysPaths(b, 4.8, func(b *testing.B, p device.PhysicsPath) {
-		dev := physDevice(b, 0xE5E1, p)
+	benchPhysPaths(b, 4.8, func(b *testing.B, ref bool) {
+		dev := physDevice(b, 0xE5E1, ref)
 		zeros := make([]uint64, dev.Geometry().WordsPerSegment())
 		mustImprint(b, dev, zeros, 20_000)
 		if err := dev.Unlock(); err != nil {
@@ -103,13 +114,13 @@ func BenchmarkSegmentErase(b *testing.B) {
 // BenchmarkVerify measures one full verification extraction (partial
 // erase + 3 majority reads) of an imprinted segment.
 func BenchmarkVerify(b *testing.B) {
-	benchPhysPaths(b, 1.7, func(b *testing.B, p device.PhysicsPath) {
-		dev := physDevice(b, 0xE5E2, p)
-		wm := flashmark.ReferenceWatermark(dev.Geometry().WordsPerSegment())
+	benchPhysPaths(b, 1.7, func(b *testing.B, ref bool) {
+		dev := physDevice(b, 0xE5E2, ref)
+		wm := core.ReferenceWatermark(dev.Geometry().WordsPerSegment())
 		mustImprint(b, dev, wm, 40_000)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := flashmark.Extract(dev, 0, flashmark.ExtractOptions{
+			if _, err := core.ExtractSegment(dev, 0, core.ExtractOptions{
 				TPEW: 25 * time.Microsecond, Reads: 3,
 			}); err != nil {
 				b.Fatal(err)
@@ -128,17 +139,17 @@ const minCharacterizeSpeedup = 3.0
 // the headline number for the batched physics (the deferred-margin
 // engine measures ~5x here).
 func BenchmarkSegmentCharacterize(b *testing.B) {
-	speedup := benchPhysPaths(b, 4.5, func(b *testing.B, p device.PhysicsPath) {
-		dev := physDevice(b, 0xB401, p)
+	speedup := benchPhysPaths(b, 4.5, func(b *testing.B, ref bool) {
+		dev := physDevice(b, 0xB401, ref)
 		zeros := make([]uint64, dev.Geometry().WordsPerSegment())
 		mustImprint(b, dev, zeros, 20_000)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			points, err := flashmark.Characterize(dev, 0, flashmark.CharacterizeOptions{Step: 4 * time.Microsecond})
+			points, err := core.CharacterizeSegment(dev, 0, core.CharacterizeOptions{Step: 4 * time.Microsecond})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, ok := flashmark.AllErasedTime(points); !ok {
+			if _, ok := core.AllErasedTime(points); !ok {
 				b.Fatal("sweep did not complete")
 			}
 		}
@@ -152,9 +163,9 @@ func BenchmarkSegmentCharacterize(b *testing.B) {
 // that reads every word of it, already called once so the margin
 // materialization and the decision cache are warm.
 func steadyStateReader(tb testing.TB) func() {
-	dev := physDevice(tb, 0xE5E4, device.PhysicsFast)
+	dev := physDevice(tb, 0xE5E4, false)
 	geom := dev.Geometry()
-	wm := flashmark.ReferenceWatermark(geom.WordsPerSegment())
+	wm := core.ReferenceWatermark(geom.WordsPerSegment())
 	mustImprint(tb, dev, wm, 40_000)
 	readSegment := func() {
 		for addr := 0; addr < geom.SegmentBytes; addr += geom.WordBytes {

@@ -40,8 +40,9 @@ type Controller struct {
 	baseCache map[int][]floatgate.CellBase
 
 	// Fast-path state (see fastphys.go). physRef selects the reference
-	// per-cell path; phys holds per-segment deferral state; the rest is
-	// reusable scratch so steady-state operations allocate nothing.
+	// per-cell path (New copies referencePhysics); phys holds
+	// per-segment deferral state; the rest is reusable scratch so
+	// steady-state operations allocate nothing.
 	physRef    bool
 	phys       map[int]*fastSeg
 	maxScratch floatgate.MaxTauScratch
@@ -73,6 +74,12 @@ type Config struct {
 	NoiseSeed uint64
 }
 
+// referencePhysics is the physics path New gives a controller: false,
+// the batched fast path, in every build. Only export_test.go sets it,
+// so the equivalence oracles can run controllers that experiment and
+// counterfeit build internally on the per-cell reference path.
+var referencePhysics bool
+
 // New creates a controller. Array and Model are required; Clock and
 // Ledger default to fresh instances.
 func New(cfg Config) (*Controller, error) {
@@ -94,14 +101,15 @@ func New(cfg Config) (*Controller, error) {
 		ledger = &vclock.Ledger{}
 	}
 	return &Controller{
-		array:  cfg.Array,
-		model:  cfg.Model,
-		timing: cfg.Timing,
-		clock:  clock,
-		ledger: ledger,
-		noise:  rng.New(cfg.NoiseSeed ^ cfg.Model.Seed()),
-		locked: true,
-		tempC:  25,
+		array:   cfg.Array,
+		model:   cfg.Model,
+		timing:  cfg.Timing,
+		clock:   clock,
+		ledger:  ledger,
+		noise:   rng.New(cfg.NoiseSeed ^ cfg.Model.Seed()),
+		locked:  true,
+		tempC:   25,
+		physRef: referencePhysics,
 	}, nil
 }
 

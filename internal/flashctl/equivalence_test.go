@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/flashmark/flashmark/internal/device"
 	"github.com/flashmark/flashmark/internal/floatgate"
 	"github.com/flashmark/flashmark/internal/nor"
 )
@@ -39,12 +38,10 @@ func twinControllers(t *testing.T, seed uint64) (fast, ref *Controller) {
 		return ctl
 	}
 	fast, ref = build(), build()
-	if fast.PhysicsPath() != device.PhysicsFast {
-		t.Fatalf("fast path is not the default: %v", fast.PhysicsPath())
+	if fast.physRef {
+		t.Fatal("fast path is not the default")
 	}
-	if err := ref.SetPhysicsPath(device.PhysicsReference); err != nil {
-		t.Fatal(err)
-	}
+	ref.physRef = true
 	return fast, ref
 }
 

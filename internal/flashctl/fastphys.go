@@ -1,6 +1,8 @@
 package flashctl
 
-// The batched physics fast path (device.PhysicsFast, the default).
+// The batched physics fast path, which every controller runs. Only this
+// package's tests select the per-cell reference path (export_test.go),
+// the executable specification the fast path must match bit for bit.
 //
 // The reference path in controller.go evaluates one Gamma quantile per
 // cell per partial erase and per adaptive-erase scan — the dominant cost
@@ -40,8 +42,8 @@ package flashctl
 // neighbors, with no quantile of the cell's own. Both tests run only in
 // groups where a pin can succeed (floatgate.Model.Pinnable), so worn
 // groups pay nothing for them. The equivalence suite
-// (equivalence_test.go, pin_test.go, the golden-equivalence experiment
-// test) pins all of this.
+// (equivalence_test.go, pin_test.go, and the registry and population
+// oracles in physics_equiv_test.go) pins all of this.
 //
 // Wear is never deferred: it is updated eagerly and exactly on every
 // operation, because wear feeds the *next* operation's physics.
@@ -56,7 +58,6 @@ import (
 	"math"
 	"slices"
 
-	"github.com/flashmark/flashmark/internal/device"
 	"github.com/flashmark/flashmark/internal/floatgate"
 	"github.com/flashmark/flashmark/internal/nor"
 )
@@ -116,30 +117,6 @@ type tauGroup struct {
 	members []int32   // local cell indices, ascending u
 	q       []float64 // memoized exact quantiles per member (NaN = none)
 	evalPos []int32   // member positions with exact q, ascending
-}
-
-// PhysicsPath reports which physics path the controller runs.
-func (c *Controller) PhysicsPath() device.PhysicsPath {
-	if c.physRef {
-		return device.PhysicsReference
-	}
-	return device.PhysicsFast
-}
-
-// SetPhysicsPath switches the physics path. Switching to the reference
-// path first materializes every deferred margin, so both paths always
-// observe identical array state.
-func (c *Controller) SetPhysicsPath(p device.PhysicsPath) error {
-	switch p {
-	case device.PhysicsFast:
-		c.physRef = false
-	case device.PhysicsReference:
-		c.flushPhysics()
-		c.physRef = true
-	default:
-		return &Error{Op: "physics", Addr: -1, Msg: "unknown physics path " + string(p)}
-	}
-	return nil
 }
 
 // flushPhysics materializes every deferred margin in every segment.

@@ -457,11 +457,8 @@ func (l *Loader) LoadDevice(data []byte) (device.Device, error) {
 // seed) constructs, in place: every cell erased with zero wear, a fresh
 // physics model for the new die identity, and zeroed clock, ledger and
 // controller state — but reusing the cell array, which is the dominant
-// allocation. The selected physics path survives the reset, because fab
-// wrappers like device.WithPhysicsPath run only at construction and a
-// recycling arena never re-invokes them.
+// allocation.
 func (d *Device) Refabricate(seed uint64) error {
-	path := d.ctl.PhysicsPath()
 	arr := d.ctl.Array()
 	arr.Reset()
 	nd, err := newDeviceWithArray(d.part, seed, arr)
@@ -469,7 +466,7 @@ func (d *Device) Refabricate(seed uint64) error {
 		return err
 	}
 	*d = *nd
-	return d.ctl.SetPhysicsPath(path)
+	return nil
 }
 
 // Age advances the chip's unpowered-storage age to the given total years
@@ -585,13 +582,6 @@ func (d *Device) Trace() *vclock.Trace { return d.ctl.Trace() }
 // surface; see core's register-sequence procedures).
 func (d *Device) Registers() *flashctl.RegisterFile { return d.ctl.Registers() }
 
-// PhysicsPath reports which physics path the controller runs.
-func (d *Device) PhysicsPath() device.PhysicsPath { return d.ctl.PhysicsPath() }
-
-// SetPhysicsPath selects the physics path (fast by default; reference
-// for equivalence runs).
-func (d *Device) SetPhysicsPath(p device.PhysicsPath) error { return d.ctl.SetPhysicsPath(p) }
-
 // Interface conformance (device.Device plus every optional capability).
 var (
 	_ device.Device            = (*Device)(nil)
@@ -600,6 +590,5 @@ var (
 	_ device.Tracer            = (*Device)(nil)
 	_ device.PartialProgrammer = (*Device)(nil)
 	_ device.WearInspector     = (*Device)(nil)
-	_ device.PhysicsSelector   = (*Device)(nil)
 	_ device.Refabricator      = (*Device)(nil)
 )

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/flashmark/flashmark/internal/device"
 	"github.com/flashmark/flashmark/internal/flashctl"
 	"github.com/flashmark/flashmark/internal/vclock"
 )
@@ -317,8 +316,7 @@ func TestLoaderWarmAllocs(t *testing.T) {
 }
 
 // TestRefabricateMatchesNewDevice proves in-place refabrication is
-// exactly a fresh construction: same serialized state, same physics,
-// and the physics path survives while everything else resets.
+// exactly a fresh construction: same serialized state, same physics.
 func TestRefabricateMatchesNewDevice(t *testing.T) {
 	d := newSim(t, 7)
 	ctl := d.Controller()
@@ -332,9 +330,6 @@ func TestRefabricateMatchesNewDevice(t *testing.T) {
 	if err := d.Age(1.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SetPhysicsPath(device.PhysicsReference); err != nil {
-		t.Fatal(err)
-	}
 	if err := d.Refabricate(42); err != nil {
 		t.Fatal(err)
 	}
@@ -345,12 +340,6 @@ func TestRefabricateMatchesNewDevice(t *testing.T) {
 	if d.Seed() != 42 || d.AgeYears() != 0 || d.Clock().Now() != 0 {
 		t.Fatalf("refabricated state not pristine: seed %d age %v clock %v",
 			d.Seed(), d.AgeYears(), d.Clock().Now())
-	}
-	if d.PhysicsPath() != device.PhysicsReference {
-		t.Fatalf("physics path lost across Refabricate: %v", d.PhysicsPath())
-	}
-	if err := d.SetPhysicsPath(device.PhysicsFast); err != nil {
-		t.Fatal(err)
 	}
 	if !bytes.Equal(savedBytes(t, d), savedBytes(t, fresh)) {
 		t.Fatal("refabricated device serializes differently from a fresh one")

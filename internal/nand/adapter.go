@@ -322,12 +322,6 @@ func (a *Adapter) ChargeHostTransfer(n int) {
 	a.d.clock.Advance(a.d.ledger.Charge(device.OpHost, dur))
 }
 
-// PhysicsPath reports the adapted device's physics implementation.
-func (a *Adapter) PhysicsPath() device.PhysicsPath { return a.d.PhysicsPath() }
-
-// SetPhysicsPath selects the adapted device's physics implementation.
-func (a *Adapter) SetPhysicsPath(p device.PhysicsPath) error { return a.d.SetPhysicsPath(p) }
-
 // SegmentWearSummary returns min/mean/max wear across block seg.
 func (a *Adapter) SegmentWearSummary(seg int) (minW, meanW, maxW float64, err error) {
 	return a.d.cells.SegmentWearSummary(seg)
@@ -634,8 +628,7 @@ func (l *Loader) Load(data []byte) (*Adapter, error) {
 // Interface conformance (device.Device plus the wear capability; NAND
 // models neither aging, temperature, traces, nor partial programs yet).
 var (
-	_ device.Device          = (*Adapter)(nil)
-	_ device.WearInspector   = (*Adapter)(nil)
-	_ device.PhysicsSelector = (*Adapter)(nil)
-	_ device.AdaptiveMaxer   = blockCells{}
+	_ device.Device        = (*Adapter)(nil)
+	_ device.WearInspector = (*Adapter)(nil)
+	_ device.AdaptiveMaxer = blockCells{}
 )

@@ -1,10 +1,8 @@
 package nand
 
 import (
-	"fmt"
 	"math"
 
-	"github.com/flashmark/flashmark/internal/device"
 	"github.com/flashmark/flashmark/internal/floatgate"
 	"github.com/flashmark/flashmark/internal/nor"
 )
@@ -20,31 +18,9 @@ import (
 // stores a programmed cell's margin without its Gamma quantile wherever
 // the float32 store cannot see the quantile term (floatgate.PinGrid).
 // All of it is a reorganization of the reference arithmetic — results
-// are bit-identical, pinned by the equivalence tests — and the
-// reference per-cell loops remain selectable through
-// device.PhysicsSelector.
-
-// PhysicsPath reports which physics implementation the device runs.
-func (d *Device) PhysicsPath() device.PhysicsPath {
-	if d.physRef {
-		return device.PhysicsReference
-	}
-	return device.PhysicsFast
-}
-
-// SetPhysicsPath selects the physics implementation. Both paths are
-// bit-identical; the reference path exists as the equivalence oracle.
-func (d *Device) SetPhysicsPath(p device.PhysicsPath) error {
-	switch p {
-	case device.PhysicsFast:
-		d.physRef = false
-	case device.PhysicsReference:
-		d.physRef = true
-	default:
-		return fmt.Errorf("nand: unknown physics path %q", p)
-	}
-	return nil
-}
+// are bit-identical, pinned by the equivalence tests. The reference
+// per-cell loops in nand.go stay as the oracle, and only this
+// package's tests select them (export_test.go).
 
 // blockPhys returns the lazily-built immutable cell parameters of one
 // block: the CellBase cache and the U-ascending index order MaxTauGroup
@@ -236,6 +212,3 @@ func (d *Device) partialEraseBlockFast(block int, pulseUs float64) {
 		}
 	}
 }
-
-// Interface conformance: the device itself is physics-selectable.
-var _ device.PhysicsSelector = (*Device)(nil)

@@ -114,7 +114,8 @@ type Device struct {
 	// immutable per-cell parameters per block for the adaptive-erase max
 	// (a partial erase reuses bases if present); the scratch slices keep
 	// steady-state batched ops allocation-free. physRef selects the
-	// per-cell reference loops instead (device.PhysicsSelector).
+	// per-cell reference loops instead (newDevice copies
+	// referencePhysics).
 	physRef    bool
 	bases      [][]floatgate.CellBase
 	uorder     [][]int32
@@ -135,6 +136,12 @@ func norGeomFor(geom Geometry) nor.Geometry {
 	}
 }
 
+// referencePhysics is the physics path newDevice gives a device:
+// false, the batched fast path, in every build. Only export_test.go sets
+// it, so the equivalence oracles can run devices that experiment builds
+// internally on the per-cell reference loops.
+var referencePhysics bool
+
 // newDevice assembles a Device from already-validated parts. Callers
 // own validation and the cell store: NewDevice allocates fresh state,
 // while Loader.Load supplies recycled cells and page cursors.
@@ -151,6 +158,7 @@ func newDevice(geom Geometry, timing Timing, params floatgate.Params, seed uint6
 		ledger:   &vclock.Ledger{},
 		noise:    rng.New(seed ^ 0x4E414E44),
 		nextPage: nextPage,
+		physRef:  referencePhysics,
 	}
 }
 

@@ -2,6 +2,8 @@ package reram_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -143,6 +145,49 @@ func TestLoaderRejects(t *testing.T) {
 	// The loader still works after rejections, and reuses its storage.
 	if _, err := l.Load([]byte(good)); err != nil {
 		t.Fatalf("loading valid file after rejections: %v", err)
+	}
+}
+
+// TestLoaderRejectsHugeGeometryCheaply: a chip file is untrusted input,
+// so a geometry that claims millions of one-byte sectors over an array
+// payload that does not match it must be rejected before anything is
+// sized from that geometry. Geometry.Validate accepts it, and a
+// per-sector table for it would take about 100 MB.
+func TestLoaderRejectsHugeGeometryCheaply(t *testing.T) {
+	dev, err := reram.NewDevice(reram.DefaultGeometry(), reram.OxRAMTiming(), reram.DefaultParams(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := dev.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var cf map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &cf); err != nil {
+		t.Fatal(err)
+	}
+	huge := nor.Geometry{Banks: 1, SegmentsPerBank: 1 << 22, SegmentBytes: 1, WordBytes: 1}
+	if err := huge.Validate(); err != nil {
+		t.Fatalf("geometry no longer passes validation, the test needs another: %v", err)
+	}
+	if cf["geometry"], err = json.Marshal(huge); err != nil {
+		t.Fatal(err)
+	}
+	cf["array"] = json.RawMessage(`"AAAA"`)
+	data, err := json.Marshal(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l reram.Loader
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = l.Load(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("chip file with a mismatched huge geometry loaded")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("rejecting a %d-byte chip file allocated %d bytes, want under 1 MB", len(data), n)
 	}
 }
 

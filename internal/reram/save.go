@@ -171,10 +171,6 @@ func (l *Loader) Load(data []byte) (*Device, error) {
 	if !(cf.AgeYears >= 0) || math.IsInf(cf.AgeYears, 0) {
 		return nil, fmt.Errorf("reram: chip file age %v out of range", cf.AgeYears)
 	}
-	model, err := NewModel(cf.Params, cf.Seed, cf.Geometry.TotalSegments(), cf.Geometry.CellsPerSegment())
-	if err != nil {
-		return nil, err
-	}
 	b64, err := chipArrayBytes(cf.Array)
 	if err != nil {
 		return nil, fmt.Errorf("reram: decoding chip file: %w", err)
@@ -185,13 +181,18 @@ func (l *Loader) Load(data []byte) (*Device, error) {
 	}
 	l.bin = bin[:0]
 	// As in mcu.Load: reject a mismatched array header before the
-	// per-cell allocation, since chip files are untrusted input.
+	// per-cell and per-sector allocations, since chip files are
+	// untrusted input.
 	headGeom, err := nor.ArrayGeometry(bin)
 	if err != nil {
 		return nil, err
 	}
 	if headGeom != cf.Geometry {
 		return nil, fmt.Errorf("reram: chip file array geometry %+v does not match %+v", headGeom, cf.Geometry)
+	}
+	model, err := NewModel(cf.Params, cf.Seed, cf.Geometry.TotalSegments(), cf.Geometry.CellsPerSegment())
+	if err != nil {
+		return nil, err
 	}
 	arr, err := nor.UnmarshalArrayInto(l.arr, bin)
 	if err != nil {
