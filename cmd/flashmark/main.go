@@ -25,8 +25,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -36,6 +34,7 @@ import (
 	"time"
 
 	"github.com/flashmark/flashmark/internal/buildinfo"
+	"github.com/flashmark/flashmark/internal/chipfile"
 	"github.com/flashmark/flashmark/internal/core"
 	"github.com/flashmark/flashmark/internal/counterfeit"
 	"github.com/flashmark/flashmark/internal/device"
@@ -260,27 +259,17 @@ func cmdAge(args []string, out io.Writer) error {
 	return nil
 }
 
-// loadChip sniffs the chip file's format field and dispatches to the
-// matching backend loader.
+// loadChip reads a chip file of any backend.
 func loadChip(path string) (device.Device, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var head struct {
-		Format string `json:"format"`
+	dev, err := new(chipfile.Loader).Load(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := json.Unmarshal(raw, &head); err != nil {
-		return nil, fmt.Errorf("%s: not a chip file: %w", path, err)
-	}
-	switch head.Format {
-	case "flashmark-nand-chip":
-		return nand.LoadAdapter(bytes.NewReader(raw))
-	case reram.ChipFormat:
-		return reram.Load(bytes.NewReader(raw))
-	default:
-		return mcu.LoadDevice(bytes.NewReader(raw))
-	}
+	return dev, nil
 }
 
 func saveChip(dev device.Device, path string) error {

@@ -9,7 +9,8 @@ import (
 
 // Example_imprintAndExtract shows the full manufacturer/integrator round
 // trip: metadata is imprinted into physical wear at die sort and
-// recovered through a timed partial erase at incoming inspection.
+// recovered through a timed partial erase at incoming inspection, even
+// after a counterfeiter wipes the segment and writes cover data.
 func Example_imprintAndExtract() {
 	dev, err := flashmark.NewDevice(flashmark.PartSmallSim(), 42)
 	if err != nil {
@@ -30,6 +31,19 @@ func Example_imprintAndExtract() {
 		panic(err)
 	}
 
+	// The counterfeiter's wipe changes the cells' contents, not their
+	// wear: extraction ignores the digital content entirely.
+	if err := dev.Unlock(); err != nil {
+		panic(err)
+	}
+	if err := dev.EraseSegment(0); err != nil {
+		panic(err)
+	}
+	if err := dev.ProgramBlock(0, []uint64{0xDEAD}); err != nil {
+		panic(err)
+	}
+	dev.Lock()
+
 	words, err := flashmark.Extract(dev, 0, flashmark.ExtractOptions{TPEW: 25 * time.Microsecond, Reads: 3})
 	if err != nil {
 		panic(err)
@@ -46,31 +60,63 @@ func Example_imprintAndExtract() {
 	// Output: TC 1001 ACCEPT false
 }
 
-// Example_verifier shows the one-call incoming-inspection flow.
+// Example_verifier shows incoming inspection at a system integrator: a
+// shipment of chips of unknown provenance, one of each §I counterfeit
+// pathway mixed in, is screened with only the manufacturer's published
+// t_PEW window and verification key. Every counterfeit is refused; no
+// chip database or manufacturer contact is needed.
 func Example_verifier() {
-	cfg := flashmark.FactoryConfig{
-		Fab:   flashmark.NORFab(flashmark.PartSmallSim()),
-		Codec: flashmark.Codec{Key: []byte("k")},
+	key := []byte("trusted-chipmaker-key")
+	factory := flashmark.FactoryConfig{
+		Fab:          flashmark.NORFab(flashmark.PartSmallSim()),
+		Codec:        flashmark.Codec{Key: key},
+		Manufacturer: "TC",
 	}
-	genuine, err := flashmark.Fabricate(flashmark.ClassGenuineAccept, cfg, 1, 500)
-	if err != nil {
-		panic(err)
+	shipment := []struct {
+		class flashmark.ChipClass
+		note  string
+	}{
+		{flashmark.ClassGenuineAccept, "genuine production die"},
+		{flashmark.ClassGenuineAccept, "genuine production die"},
+		{flashmark.ClassGenuineReject, "fall-out die leaked from packaging"},
+		{flashmark.ClassRecycled, "salvaged from e-waste, relabeled"},
+		{flashmark.ClassMetadataForgery, "blank die, forged metadata record"},
+		{flashmark.ClassDigitalClone, "bit-copy of a genuine watermark"},
+		{flashmark.ClassTopUpTamper, "REJECT die 'upgraded' by stressing"},
+		{flashmark.ClassUnmarked, "rebranded third-party part"},
 	}
-	forged, err := flashmark.Fabricate(flashmark.ClassMetadataForgery, cfg, 2, 501)
-	if err != nil {
-		panic(err)
+	v := &flashmark.Verifier{
+		Codec:          flashmark.Codec{Key: key},
+		Manufacturer:   "TC",
+		TPEW:           25 * time.Microsecond, // the published window
+		CheckRecycling: true,
 	}
-	v := &flashmark.Verifier{Codec: flashmark.Codec{Key: []byte("k")}, Manufacturer: "TC"}
-	for _, dev := range []flashmark.Device{genuine, forged} {
+	accepted := 0
+	for i, item := range shipment {
+		dev, err := flashmark.Fabricate(item.class, factory, uint64(0xC000+i), uint64(5000+i))
+		if err != nil {
+			panic(err)
+		}
 		res, err := v.Verify(dev)
 		if err != nil {
 			panic(err)
 		}
-		fmt.Println(res.Verdict)
+		if res.Verdict.Accepted() {
+			accepted++
+		}
+		fmt.Printf("%-36s %s\n", item.note, res.Verdict)
 	}
+	fmt.Printf("accepted %d of %d\n", accepted, len(shipment))
 	// Output:
-	// GENUINE
-	// NO-WATERMARK
+	// genuine production die               GENUINE
+	// genuine production die               GENUINE
+	// fall-out die leaked from packaging   REJECT-DIE
+	// salvaged from e-waste, relabeled     RECYCLED
+	// blank die, forged metadata record    NO-WATERMARK
+	// bit-copy of a genuine watermark      NO-WATERMARK
+	// REJECT die 'upgraded' by stressing   TAMPERED
+	// rebranded third-party part           NO-WATERMARK
+	// accepted 2 of 8
 }
 
 // Example_detectStress shows the one-round usage detector (paper Fig. 5):

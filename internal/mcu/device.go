@@ -7,13 +7,10 @@
 package mcu
 
 import (
-	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/flashmark/flashmark/internal/device"
@@ -224,155 +221,30 @@ const (
 	chipVersion = 1
 )
 
-// saveState recycles every per-Save transient: the binary array
-// encoding, the quoted-base64 token (the file's dominant field), and
-// the JSON envelope buffer with its pinned encoder — the encoder's
-// internal indent scratch only amortizes when the encoder itself is
-// reused (fmverifyd snapshots registries in a loop; these buffers are
-// the save path's entire allocation profile).
-type saveState struct {
-	raw []byte
-	b64 []byte
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var savePool = sync.Pool{New: func() any {
-	s := &saveState{raw: make([]byte, 0, 4096)}
-	s.enc = json.NewEncoder(&s.buf)
-	s.enc.SetIndent("", "  ")
-	return s
-}}
-
 // Save writes the chip state (part, seed, cell margins and wear) to w.
 func (d *Device) Save(w io.Writer) error {
-	s := savePool.Get().(*saveState)
-	defer savePool.Put(s)
-	raw, err := d.ctl.Array().AppendBinary(s.raw[:0])
-	s.raw = raw[:0]
-	if err != nil {
-		return fmt.Errorf("mcu: serializing array: %w", err)
-	}
 	params := d.part.Params
-	cf := chipFile{
-		Format:   chipFormat,
-		Version:  chipVersion,
-		PartName: d.part.Name,
-		Seed:     d.seed,
-		Params:   &params,
-		AgeYears: d.ctl.AgeYears(),
-		Array:    s.quotedBase64(raw),
-	}
-	s.buf.Reset()
-	if err := s.enc.Encode(cf); err != nil {
-		return err
-	}
-	_, err = w.Write(s.buf.Bytes())
-	return err
-}
-
-// quotedBase64 renders raw as the JSON string token the chip file
-// stores the array payload under (base64 needs no JSON escaping, so
-// quoting is just delimiters), reusing the state's token buffer.
-func (s *saveState) quotedBase64(raw []byte) json.RawMessage {
-	n := base64.StdEncoding.EncodedLen(len(raw))
-	if cap(s.b64) < n+2 {
-		s.b64 = make([]byte, n+2)
-	}
-	out := s.b64[:n+2]
-	out[0], out[n+1] = '"', '"'
-	base64.StdEncoding.Encode(out[1:n+1], raw)
-	return json.RawMessage(out)
-}
-
-// chipArrayBytes extracts the base64 text from the raw array payload.
-// The fast path slices the quoted token in place; a payload with
-// escapes (never produced by Save) or a non-string value falls back to
-// the strict decoder, whose error the caller wraps as a chip-file
-// decode failure.
-func chipArrayBytes(raw json.RawMessage) ([]byte, error) {
-	if len(raw) >= 2 && raw[0] == '"' && raw[len(raw)-1] == '"' && bytes.IndexByte(raw, '\\') < 0 {
-		return raw[1 : len(raw)-1], nil
-	}
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	var s string
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return nil, err
-	}
-	return []byte(s), nil
-}
-
-// decodeChipArray base64-decodes the array payload into dst's capacity,
-// growing it only when the payload outgrows it.
-func decodeChipArray(b64 []byte, dst []byte) ([]byte, error) {
-	n := base64.StdEncoding.DecodedLen(len(b64))
-	if cap(dst) < n {
-		dst = make([]byte, n)
-	}
-	dst = dst[:n]
-	m, err := base64.StdEncoding.Decode(dst, b64)
-	if err != nil {
-		return nil, err
-	}
-	return dst[:m], nil
-}
-
-// Load reconstructs a chip from Save output. The part is looked up in the
-// catalog by name; the saved physics parameters override the catalog's so
-// chips fabricated with experimental parameters reload faithfully.
-func Load(r io.Reader) (*Device, error) {
-	var cf chipFile
-	if err := json.NewDecoder(r).Decode(&cf); err != nil {
-		return nil, fmt.Errorf("mcu: decoding chip file: %w", err)
-	}
-	if cf.Format != chipFormat {
-		return nil, fmt.Errorf("mcu: not a chip file (format %q)", cf.Format)
-	}
-	if cf.Version != chipVersion {
-		return nil, fmt.Errorf("mcu: unsupported chip file version %d", cf.Version)
-	}
-	part, err := PartByName(cf.PartName)
-	if err != nil {
-		return nil, err
-	}
-	if cf.Params != nil {
-		part.Params = *cf.Params
-	}
-	b64, err := chipArrayBytes(cf.Array)
-	if err != nil {
-		return nil, fmt.Errorf("mcu: decoding chip file: %w", err)
-	}
-	raw, err := decodeChipArray(b64, nil)
-	if err != nil {
-		return nil, fmt.Errorf("mcu: decoding array payload: %w", err)
-	}
-	// Check the serialized geometry against the named part before
-	// UnmarshalArray commits the per-cell allocation: chip files are
-	// untrusted input, and a forged header must not be able to command
-	// an allocation larger than the part it claims to be.
-	headGeom, err := nor.ArrayGeometry(raw)
-	if err != nil {
-		return nil, err
-	}
-	if headGeom != part.Geometry {
-		return nil, fmt.Errorf("mcu: chip file geometry %+v does not match part %s", headGeom, part.Name)
-	}
-	arr, err := nor.UnmarshalArray(raw)
-	if err != nil {
-		return nil, err
-	}
-	dev, err := newDeviceWithArray(part, cf.Seed, arr)
-	if err != nil {
-		return nil, err
-	}
-	if cf.AgeYears > 0 {
-		if err := dev.ctl.SetAgeYears(cf.AgeYears); err != nil {
-			return nil, err
+	return nor.SaveChip(w, d.ctl.Array(), func(array json.RawMessage) any {
+		return chipFile{
+			Format:   chipFormat,
+			Version:  chipVersion,
+			PartName: d.part.Name,
+			Seed:     d.seed,
+			Params:   &params,
+			AgeYears: d.ctl.AgeYears(),
+			Array:    array,
 		}
+	})
+}
+
+// Load reconstructs a chip from Save output: it reads r to the end and
+// decodes the bytes with a fresh Loader.
+func Load(r io.Reader) (*Device, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
 	}
-	return dev, nil
+	return new(Loader).Load(data)
 }
 
 // Loader parses chip files with fully reusable scratch: the JSON
@@ -385,16 +257,15 @@ func Load(r io.Reader) (*Device, error) {
 // recycle both when the report is rendered. A Loader is not safe for
 // concurrent use; pool instances instead. The zero value is ready.
 type Loader struct {
-	cf  chipFile
-	bin []byte
-	arr *nor.Array
+	cf    chipFile
+	array nor.ChipArray
 }
 
-// Load reconstructs a chip from data (one complete chip file, the
-// bytes Save writes). Identical in behavior to Load(bytes.NewReader(
-// data)) except that trailing data after the JSON object is rejected —
-// which is what the service's former whole-body format sniff already
-// enforced for every request.
+// Load reconstructs a chip from data, one complete chip file (the bytes
+// Save writes); trailing data after the JSON object is rejected. The
+// part is looked up in the catalog by name; the saved physics
+// parameters override the catalog's so chips fabricated with
+// experimental parameters reload faithfully.
 func (l *Loader) Load(data []byte) (*Device, error) {
 	l.cf = chipFile{Array: l.cf.Array[:0]}
 	if err := json.Unmarshal(data, &l.cf); err != nil {
@@ -414,27 +285,10 @@ func (l *Loader) Load(data []byte) (*Device, error) {
 	if cf.Params != nil {
 		part.Params = *cf.Params
 	}
-	b64, err := chipArrayBytes(cf.Array)
+	arr, err := l.array.Decode(cf.Array, part.Geometry)
 	if err != nil {
-		return nil, fmt.Errorf("mcu: decoding chip file: %w", err)
+		return nil, fmt.Errorf("mcu: %w", err)
 	}
-	bin, err := decodeChipArray(b64, l.bin)
-	if err != nil {
-		return nil, fmt.Errorf("mcu: decoding array payload: %w", err)
-	}
-	l.bin = bin[:0]
-	headGeom, err := nor.ArrayGeometry(bin)
-	if err != nil {
-		return nil, err
-	}
-	if headGeom != part.Geometry {
-		return nil, fmt.Errorf("mcu: chip file geometry %+v does not match part %s", headGeom, part.Name)
-	}
-	arr, err := nor.UnmarshalArrayInto(l.arr, bin)
-	if err != nil {
-		return nil, err
-	}
-	l.arr = arr
 	dev, err := newDeviceWithArray(part, cf.Seed, arr)
 	if err != nil {
 		return nil, err
@@ -445,12 +299,6 @@ func (l *Loader) Load(data []byte) (*Device, error) {
 		}
 	}
 	return dev, nil
-}
-
-// LoadDevice reconstructs a chip behind the substrate-neutral device
-// interface (the Loader counterpart of the package-level LoadDevice).
-func (l *Loader) LoadDevice(data []byte) (device.Device, error) {
-	return l.Load(data)
 }
 
 // Refabricate returns the device to the pristine state NewDevice(part,

@@ -228,10 +228,11 @@ func savedBytes(t *testing.T, d *Device) []byte {
 	return buf.Bytes()
 }
 
-// TestLoaderMatchesLoad proves the reusable Loader is equivalent to the
-// one-shot Load: the device a warm (already-populated) Loader produces
-// re-serializes to the same bytes, across chips of different parts and
-// states, and rejects exactly the garbage Load rejects.
+// TestLoaderMatchesLoad proves a warm Loader equals a fresh decode (a
+// zero-value Loader, which is all Load runs): the device a warm
+// (already-populated) Loader produces re-serializes to the same bytes,
+// across chips of different parts and states, and garbage stays
+// rejected.
 func TestLoaderMatchesLoad(t *testing.T) {
 	worn := newSim(t, 7)
 	ctl := worn.Controller()
@@ -263,7 +264,7 @@ func TestLoaderMatchesLoad(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chip %d: %v", i, err)
 		}
-		want, err := Load(bytes.NewReader(file))
+		want, err := new(Loader).Load(file)
 		if err != nil {
 			t.Fatalf("chip %d: %v", i, err)
 		}

@@ -1,0 +1,5 @@
+package mcu
+
+// BombChipFile exposes the forged-array-header builder to the chip-file
+// fuzz target, which lives in the external test package.
+var BombChipFile = bombChipFile

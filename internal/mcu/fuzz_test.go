@@ -5,7 +5,6 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -36,65 +35,4 @@ func TestLoadRejectsForgedGeometry(t *testing.T) {
 			t.Errorf("%s forged-geometry chip file accepted: %s", name, raw[:60])
 		}
 	}
-}
-
-// FuzzLoadDevice feeds arbitrary bytes to the chip-file parser — the
-// exact surface fmverifyd exposes to untrusted uploads. It must never
-// panic, and any file it accepts must survive a Save/Load round trip
-// with identity intact.
-func FuzzLoadDevice(f *testing.F) {
-	dev, err := NewDevice(PartSmallSim(), 42)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var good bytes.Buffer
-	if err := dev.Save(&good); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good.Bytes())
-	// Aged chip: exercises the SetAgeYears path on reload.
-	if err := dev.Age(3.5); err != nil {
-		f.Fatal(err)
-	}
-	var aged bytes.Buffer
-	if err := dev.Save(&aged); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(aged.Bytes())
-	// Structured near-misses: valid JSON shapes that each trip one
-	// validation branch.
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"format":"flashmark-chip","version":1}`))
-	f.Add([]byte(`{"format":"flashmark-chip","version":99,"part":"FM-SIM16"}`))
-	f.Add([]byte(`{"format":"flashmark-chip","version":1,"part":"NO-SUCH-PART"}`))
-	f.Add([]byte(`{"format":"flashmark-chip","version":1,"part":"FM-SIM16","array":"!!not-base64!!"}`))
-	f.Add([]byte(`{"format":"flashmark-chip","version":1,"part":"FM-SIM16","ageYears":-2,"array":""}`))
-	f.Add([]byte(strings.Replace(good.String(), `"seed"`, `"params":{"EnduranceCycles":0},"seed"`, 1)))
-	f.Add([]byte("not json at all"))
-	f.Add([]byte{})
-	// Regression: the allocation bomb (forged oversized array header).
-	f.Add(bombChipFile(4, 1<<15, 512))
-	f.Add(bombChipFile(1<<20, 1<<20, 512))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dev, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := dev.Save(&buf); err != nil {
-			t.Fatalf("accepted chip failed to re-save: %v", err)
-		}
-		back, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("re-saved chip failed to reload: %v", err)
-		}
-		if back.Seed() != dev.Seed() || back.PartName() != dev.PartName() {
-			t.Fatalf("identity drifted through round trip: %d/%s vs %d/%s",
-				dev.Seed(), dev.PartName(), back.Seed(), back.PartName())
-		}
-		if back.AgeYears() != dev.AgeYears() {
-			t.Fatalf("age drifted through round trip: %v vs %v", dev.AgeYears(), back.AgeYears())
-		}
-	})
 }

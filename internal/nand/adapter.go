@@ -1,8 +1,6 @@
 package nand
 
 import (
-	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -389,154 +387,38 @@ type nandChipFile struct {
 	Array    json.RawMessage  `json:"array"` // quoted base64 of nor binary encoding
 }
 
-const (
-	nandChipFormat  = "flashmark-nand-chip"
-	nandChipVersion = 1
-)
+// ChipFormat is the format tag of serialized NAND chips.
+const ChipFormat = "flashmark-nand-chip"
 
-// saveState recycles every per-Save transient — the binary array
-// encoding, the quoted-base64 token, and the JSON envelope buffer with
-// its pinned encoder — mirroring the mcu chip-file save pool.
-type saveState struct {
-	raw []byte
-	b64 []byte
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var savePool = sync.Pool{New: func() any {
-	s := &saveState{raw: make([]byte, 0, 4096)}
-	s.enc = json.NewEncoder(&s.buf)
-	s.enc.SetIndent("", "  ")
-	return s
-}}
+const nandChipVersion = 1
 
 // Save writes the chip state (geometry, timing, physics, seed, cell
 // margins and wear) to w.
 func (a *Adapter) Save(w io.Writer) error {
-	s := savePool.Get().(*saveState)
-	defer savePool.Put(s)
-	raw, err := a.d.cells.AppendBinary(s.raw[:0])
-	s.raw = raw[:0]
-	if err != nil {
-		return fmt.Errorf("nand: serializing array: %w", err)
-	}
-	cf := nandChipFile{
-		Format:   nandChipFormat,
-		Version:  nandChipVersion,
-		Geometry: a.d.geom,
-		Timing:   a.d.timing,
-		Params:   a.d.params,
-		Seed:     a.d.seed,
-		// Marshaled synchronously below, so the live cursor slice can be
-		// referenced without a defensive copy.
-		NextPage: a.d.nextPage,
-		Array:    s.quotedBase64(raw),
-	}
-	s.buf.Reset()
-	if err := s.enc.Encode(cf); err != nil {
-		return err
-	}
-	_, err = w.Write(s.buf.Bytes())
-	return err
-}
-
-// quotedBase64 renders raw as the JSON string token the chip file
-// embeds: base64 text needs no escaping, so the quotes can be placed
-// directly (mirrors the mcu chip-file helper), reusing the state's
-// token buffer.
-func (s *saveState) quotedBase64(raw []byte) json.RawMessage {
-	n := base64.StdEncoding.EncodedLen(len(raw))
-	if cap(s.b64) < n+2 {
-		s.b64 = make([]byte, n+2)
-	}
-	out := s.b64[:n+2]
-	out[0], out[n+1] = '"', '"'
-	base64.StdEncoding.Encode(out[1:n+1], raw)
-	return json.RawMessage(out)
-}
-
-// chipArrayBytes extracts the base64 text from the raw array payload.
-// The fast path peels the quotes off an escape-free string token in
-// place; anything else (escapes, or a non-string value whose error
-// surface must match a string unmarshal) goes through encoding/json.
-func chipArrayBytes(raw json.RawMessage) ([]byte, error) {
-	if len(raw) >= 2 && raw[0] == '"' && raw[len(raw)-1] == '"' && bytes.IndexByte(raw, '\\') < 0 {
-		return raw[1 : len(raw)-1], nil
-	}
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	var s string
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return nil, err
-	}
-	return []byte(s), nil
-}
-
-// decodeChipArray base64-decodes the array payload into dst's capacity,
-// allocating only when dst is too small.
-func decodeChipArray(b64 []byte, dst []byte) ([]byte, error) {
-	n := base64.StdEncoding.DecodedLen(len(b64))
-	if cap(dst) < n {
-		dst = make([]byte, n)
-	}
-	dst = dst[:n]
-	m, err := base64.StdEncoding.Decode(dst, b64)
-	if err != nil {
-		return nil, err
-	}
-	return dst[:m], nil
-}
-
-// LoadAdapter reconstructs a NAND chip from Save output.
-func LoadAdapter(r io.Reader) (*Adapter, error) {
-	var cf nandChipFile
-	if err := json.NewDecoder(r).Decode(&cf); err != nil {
-		return nil, fmt.Errorf("nand: decoding chip file: %w", err)
-	}
-	if cf.Format != nandChipFormat {
-		return nil, fmt.Errorf("nand: not a NAND chip file (format %q)", cf.Format)
-	}
-	if cf.Version != nandChipVersion {
-		return nil, fmt.Errorf("nand: unsupported chip file version %d", cf.Version)
-	}
-	d, err := NewDevice(cf.Geometry, cf.Timing, cf.Params, cf.Seed)
-	if err != nil {
-		return nil, err
-	}
-	b64, err := chipArrayBytes(cf.Array)
-	if err != nil {
-		return nil, fmt.Errorf("nand: decoding chip file: %w", err)
-	}
-	raw, err := decodeChipArray(b64, nil)
-	if err != nil {
-		return nil, fmt.Errorf("nand: decoding array payload: %w", err)
-	}
-	// As in mcu.Load: reject a mismatched array header before the
-	// per-cell allocation, since chip files are untrusted input.
-	headGeom, err := nor.ArrayGeometry(raw)
-	if err != nil {
-		return nil, err
-	}
-	if headGeom != d.cells.Geometry() {
-		return nil, fmt.Errorf("nand: chip file array geometry %+v does not match %+v", headGeom, d.cells.Geometry())
-	}
-	arr, err := nor.UnmarshalArray(raw)
-	if err != nil {
-		return nil, err
-	}
-	d.cells = arr
-	if len(cf.NextPage) != cf.Geometry.Blocks {
-		return nil, fmt.Errorf("nand: chip file has %d page cursors for %d blocks", len(cf.NextPage), cf.Geometry.Blocks)
-	}
-	for block, p := range cf.NextPage {
-		if p < 0 || p > cf.Geometry.PagesPerBlock {
-			return nil, fmt.Errorf("nand: chip file page cursor %d of block %d out of range", p, block)
+	return nor.SaveChip(w, a.d.cells, func(array json.RawMessage) any {
+		return nandChipFile{
+			Format:   ChipFormat,
+			Version:  nandChipVersion,
+			Geometry: a.d.geom,
+			Timing:   a.d.timing,
+			Params:   a.d.params,
+			Seed:     a.d.seed,
+			// Marshaled before SaveChip returns, so the live cursor slice
+			// can be referenced without a defensive copy.
+			NextPage: a.d.nextPage,
+			Array:    array,
 		}
+	})
+}
+
+// LoadAdapter reconstructs a NAND chip from Save output: it reads r to
+// the end and decodes the bytes with a fresh Loader.
+func LoadAdapter(r io.Reader) (*Adapter, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
 	}
-	copy(d.nextPage, cf.NextPage)
-	return Adapt(d), nil
+	return new(Loader).Load(data)
 }
 
 // Loader reconstructs NAND chips from Save output, recycling the JSON
@@ -548,16 +430,13 @@ func LoadAdapter(r io.Reader) (*Adapter, error) {
 // adapter.
 type Loader struct {
 	cf       nandChipFile
-	bin      []byte
-	arr      *nor.Array
+	array    nor.ChipArray
 	nextPage []int
-	fetch    pageFetch
+	fetch    *pageFetch
 }
 
-// Load reconstructs a NAND chip from the serialized chip file. It
-// performs the same validation as LoadAdapter, in the same order,
-// but decodes strictly from the byte slice and reuses the loader's
-// buffers instead of allocating a fresh cell array per call.
+// Load reconstructs a NAND chip from data, one complete chip file (the
+// bytes Save writes); trailing data after the JSON object is rejected.
 func (l *Loader) Load(data []byte) (*Adapter, error) {
 	// Reset the envelope but keep the Array and NextPage capacity:
 	// RawMessage and slice decoding both append into the existing
@@ -567,7 +446,7 @@ func (l *Loader) Load(data []byte) (*Adapter, error) {
 		return nil, fmt.Errorf("nand: decoding chip file: %w", err)
 	}
 	cf := &l.cf
-	if cf.Format != nandChipFormat {
+	if cf.Format != ChipFormat {
 		return nil, fmt.Errorf("nand: not a NAND chip file (format %q)", cf.Format)
 	}
 	if cf.Version != nandChipVersion {
@@ -583,27 +462,10 @@ func (l *Loader) Load(data []byte) (*Adapter, error) {
 	if err != nil {
 		return nil, err
 	}
-	b64, err := chipArrayBytes(cf.Array)
+	arr, err := l.array.Decode(cf.Array, norGeomFor(cf.Geometry))
 	if err != nil {
-		return nil, fmt.Errorf("nand: decoding chip file: %w", err)
+		return nil, fmt.Errorf("nand: %w", err)
 	}
-	bin, err := decodeChipArray(b64, l.bin)
-	if err != nil {
-		return nil, fmt.Errorf("nand: decoding array payload: %w", err)
-	}
-	l.bin = bin[:0]
-	headGeom, err := nor.ArrayGeometry(bin)
-	if err != nil {
-		return nil, err
-	}
-	if want := norGeomFor(cf.Geometry); headGeom != want {
-		return nil, fmt.Errorf("nand: chip file array geometry %+v does not match %+v", headGeom, want)
-	}
-	arr, err := nor.UnmarshalArrayInto(l.arr, bin)
-	if err != nil {
-		return nil, err
-	}
-	l.arr = arr
 	if len(cf.NextPage) != cf.Geometry.Blocks {
 		return nil, fmt.Errorf("nand: chip file has %d page cursors for %d blocks", len(cf.NextPage), cf.Geometry.Blocks)
 	}
@@ -620,8 +482,11 @@ func (l *Loader) Load(data []byte) (*Adapter, error) {
 	a := Adapt(newDevice(cf.Geometry, cf.Timing, cf.Params, cf.Seed, model, arr, next))
 	// The page-fetch buffers are recycled too, but the previous chip's
 	// page classification must not carry over to this one.
+	if l.fetch == nil {
+		l.fetch = new(pageFetch)
+	}
 	l.fetch.classified = false
-	a.fetch = &l.fetch
+	a.fetch = l.fetch
 	return a, nil
 }
 

@@ -2,6 +2,7 @@ package nand
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -449,10 +450,10 @@ func TestNANDTimeAccounting(t *testing.T) {
 	}
 }
 
-// TestLoaderMatchesLoadAdapter proves the reusable Loader is equivalent
-// to the one-shot LoadAdapter: identical reconstructed state across
-// chips loaded back to back through one warm Loader, and the garbage
-// LoadAdapter rejects stays rejected.
+// TestLoaderMatchesLoadAdapter proves a warm Loader equals a fresh
+// decode (a zero-value Loader, which is all LoadAdapter runs):
+// identical reconstructed state across chips loaded back to back
+// through one warm Loader, and garbage stays rejected.
 func TestLoaderMatchesLoadAdapter(t *testing.T) {
 	imprinted := Adapt(newNAND(t, 21))
 	words := make([]uint64, imprinted.Geometry().WordsPerSegment())
@@ -476,7 +477,7 @@ func TestLoaderMatchesLoadAdapter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chip %d: %v", i, err)
 		}
-		want, err := LoadAdapter(bytes.NewReader(buf.Bytes()))
+		want, err := new(Loader).Load(buf.Bytes())
 		if err != nil {
 			t.Fatalf("chip %d: %v", i, err)
 		}
@@ -514,5 +515,37 @@ func TestLoaderMatchesLoadAdapter(t *testing.T) {
 	}
 	if _, err := l.Load(buf.Bytes()); err != nil {
 		t.Fatalf("Loader broken after rejections: %v", err)
+	}
+}
+
+// TestLoadAdapterRejectsForgedGeometryCheaply: a chip file is untrusted
+// input. A SmallNAND file whose envelope claims 1024 blocks (4 MiB of
+// flash, inside Geometry.Validate's cap) over the 8-block array it
+// carries must be refused by the array-header check before anything is
+// sized from the claimed geometry; a device of that geometry holds
+// about 400 MB of cell state.
+func TestLoadAdapterRejectsForgedGeometryCheaply(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Adapt(newNAND(t, 41)).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Replace(buf.Bytes(), []byte(`"Blocks": 8,`), []byte(`"Blocks": 1024,`), 1)
+	if bytes.Equal(data, buf.Bytes()) {
+		t.Fatal("saved chip file has no 8-block geometry to forge")
+	}
+	forged := SmallNAND()
+	forged.Blocks = 1024
+	if err := forged.Validate(); err != nil {
+		t.Fatalf("geometry no longer passes validation, the test needs another: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadAdapter(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("chip file with a forged geometry loaded")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("rejecting a %d-byte chip file allocated %d bytes, want under 1 MB", len(data), n)
 	}
 }

@@ -3,11 +3,12 @@ package service
 import (
 	"context"
 	"errors"
+	"net/http"
 	"sync/atomic"
 )
 
 // errOverloaded is returned by the gate when the bounded queue is full;
-// the handler maps it to 429 + Retry-After.
+// admit maps it to 429 + Retry-After.
 var errOverloaded = errors.New("service: admission queue full")
 
 // gate is the admission controller: at most `workers` verifications run
@@ -47,6 +48,26 @@ func (g *gate) acquire(ctx context.Context) (release func(), err error) {
 		g.pending.Add(-1)
 		return nil, ctx.Err()
 	}
+}
+
+// admit takes a verification slot for r. When the gate refuses, admit
+// answers the request itself (429 with Retry-After when the queue is
+// full, 499 when the client gave up while queued) and reports false;
+// otherwise the caller must call release when its verification ends.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+	release, err := s.gate.acquire(r.Context())
+	switch {
+	case err == nil:
+		return release, true
+	case errors.Is(err, errOverloaded):
+		s.met.rejected.Inc()
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, "verification queue is full; retry later")
+	default:
+		s.met.errors.Inc()
+		writeError(w, statusClientClosedRequest, "client canceled while queued")
+	}
+	return nil, false
 }
 
 // queued returns how many admitted requests are waiting for a worker

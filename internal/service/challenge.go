@@ -27,6 +27,7 @@ import (
 
 	"github.com/flashmark/flashmark/internal/challenge"
 	"github.com/flashmark/flashmark/internal/counterfeit"
+	"github.com/flashmark/flashmark/internal/device"
 	"github.com/flashmark/flashmark/internal/registry"
 )
 
@@ -82,21 +83,23 @@ const (
 // rebuilt per call (interrogation destroys the probe segment's content,
 // and pooled loader storage must not outlive the call).
 func (s *Server) interrogateRaw(raw []byte) (challenge.Response, int64, *httpError) {
-	ld := chipLoaders.Get().(*chipLoader)
-	defer chipLoaders.Put(ld)
-	dev, err := ld.load(raw)
-	if err != nil {
-		return challenge.Response{}, 0, &httpError{http.StatusBadRequest, err.Error()}
+	var (
+		resp  challenge.Response
+		devUs int64
+	)
+	herr := s.withChip(raw, func(dev device.Device) *httpError {
+		var err error
+		resp, err = challenge.Interrogate(dev, *s.cfg.Challenge)
+		if err != nil {
+			return &httpError{http.StatusUnprocessableEntity, "challenge interrogation failed: " + err.Error()}
+		}
+		devUs = dev.Clock().Now().Microseconds()
+		return nil
+	})
+	if herr != nil {
+		return challenge.Response{}, 0, herr
 	}
-	if s.cfg.Decorate != nil {
-		dev = s.cfg.Decorate(dev)
-	}
-	resp, err := challenge.Interrogate(dev, *s.cfg.Challenge)
-	if err != nil {
-		return challenge.Response{}, 0, &httpError{http.StatusUnprocessableEntity,
-			"challenge interrogation failed: " + err.Error()}
-	}
-	return resp, dev.Clock().Now().Microseconds(), nil
+	return resp, devUs, nil
 }
 
 // enrollChallenge records a chip's challenge-response fingerprint
@@ -152,16 +155,8 @@ func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseBody()
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if err == errOverloaded {
-			s.met.rejected.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "verification queue is full; retry later")
-			return
-		}
-		s.met.errors.Inc()
-		writeError(w, statusClientClosedRequest, "client canceled while queued")
+	release, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
 	defer release()

@@ -12,12 +12,10 @@ import (
 	"sync"
 	"time"
 
+	"github.com/flashmark/flashmark/internal/chipfile"
 	"github.com/flashmark/flashmark/internal/counterfeit"
 	"github.com/flashmark/flashmark/internal/device"
-	"github.com/flashmark/flashmark/internal/mcu"
-	"github.com/flashmark/flashmark/internal/nand"
 	"github.com/flashmark/flashmark/internal/parallel"
-	"github.com/flashmark/flashmark/internal/reram"
 )
 
 // ChipReport is the verdict JSON for one screened chip. Fields are
@@ -148,137 +146,66 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (raw []byte, r
 	return buf, func() { *bp = buf[:0]; bodyScratch.Put(bp) }, nil
 }
 
-// sniffFormat scans the head of a chip file for the leading
-// {"format":"..."} member without parsing the whole body. Both backends'
-// Save writes the format member first with no escapes, so the fast scan
-// answers for every file the CLI produces; anything else (the member
-// elsewhere, escapes, non-objects) reports !ok and the caller falls back
-// to a full unmarshal for its exact legacy error surface.
-func sniffFormat(raw []byte) ([]byte, bool) {
-	i := 0
-	skipWS := func() {
-		for i < len(raw) && (raw[i] == ' ' || raw[i] == '\t' || raw[i] == '\n' || raw[i] == '\r') {
-			i++
-		}
-	}
-	skipWS()
-	if i >= len(raw) || raw[i] != '{' {
-		return nil, false
-	}
-	i++
-	skipWS()
-	const key = `"format"`
-	if len(raw)-i < len(key) || string(raw[i:i+len(key)]) != key {
-		return nil, false
-	}
-	i += len(key)
-	skipWS()
-	if i >= len(raw) || raw[i] != ':' {
-		return nil, false
-	}
-	i++
-	skipWS()
-	if i >= len(raw) || raw[i] != '"' {
-		return nil, false
-	}
-	i++
-	start := i
-	for ; i < len(raw); i++ {
-		if raw[i] == '\\' {
-			return nil, false
-		}
-		if raw[i] == '"' {
-			return raw[start:i], true
-		}
-	}
-	return nil, false
-}
+// chipLoaders pools chip-file dispatchers so a steady request stream
+// reloads chips into recycled arrays. It is shared by every Server in
+// the process, like bodyScratch: a loader holds no server state, and a
+// per-Server pool would give each new Server its own set of
+// multi-megabyte cell arrays.
+var chipLoaders = sync.Pool{New: func() any { return new(chipfile.Loader) }}
 
-// chipLoader bundles one reusable loader per backend; chipLoaders pools
-// them so a steady request stream reloads chips into recycled arrays.
-// The device a load returns aliases the loader's storage, so a loader
-// checked out of the pool must not be returned until the device is no
-// longer used (screenChip's scope).
-type chipLoader struct {
-	mcu   mcu.Loader
-	nand  nand.Loader
-	reram reram.Loader
-}
-
-// chipLoaders is shared by every Server in the process, like
-// bodyScratch: a loader holds no server state, and a per-Server pool
-// would give each new Server its own set of multi-megabyte cell arrays.
-var chipLoaders = sync.Pool{New: func() any { return new(chipLoader) }}
-
-// load sniffs the chip file's self-describing format field and
-// dispatches to the matching backend loader, mirroring the flashmark
-// CLI's loader so the service accepts exactly the files the CLI writes.
-func (l *chipLoader) load(raw []byte) (device.Device, error) {
-	format, ok := sniffFormat(raw)
-	if !ok {
-		var head struct {
-			Format string `json:"format"`
-		}
-		if err := json.Unmarshal(raw, &head); err != nil {
-			return nil, fmt.Errorf("not a chip file: %w", err)
-		}
-		format = []byte(head.Format)
-	}
-	if string(format) == "flashmark-nand-chip" {
-		a, err := l.nand.Load(raw)
-		if err != nil {
-			return nil, err
-		}
-		return a, nil
-	}
-	if string(format) == reram.ChipFormat {
-		d, err := l.reram.Load(raw)
-		if err != nil {
-			return nil, err
-		}
-		return d, nil
-	}
-	d, err := l.mcu.Load(raw)
+// withChip loads raw through a pooled dispatcher, applies the
+// configured decorator, and runs use on the device. The device aliases
+// the loader's storage, so the loader returns to the pool only after
+// use does; use must not keep the device.
+func (s *Server) withChip(raw []byte, use func(device.Device) *httpError) *httpError {
+	ld := chipLoaders.Get().(*chipfile.Loader)
+	defer chipLoaders.Put(ld)
+	dev, err := ld.Load(raw)
 	if err != nil {
-		return nil, err
+		return &httpError{http.StatusBadRequest, err.Error()}
 	}
-	return d, nil
+	if s.cfg.Decorate != nil {
+		dev = s.cfg.Decorate(dev)
+	}
+	return use(dev)
 }
 
 // screenChip runs one chip's bytes through parse -> decorate -> verify
 // and renders the ChipReport. The encoded body, its decoded form, and
 // the verdict come back for caching; failures come back as *httpError.
 func (s *Server) screenChip(ctx context.Context, raw []byte, sum string) ([]byte, ChipReport, counterfeit.Verdict, *httpError) {
-	ld := chipLoaders.Get().(*chipLoader)
-	defer chipLoaders.Put(ld)
-	dev, err := ld.load(raw)
-	if err != nil {
-		return nil, ChipReport{}, 0, &httpError{http.StatusBadRequest, err.Error()}
-	}
-	if s.cfg.Decorate != nil {
-		dev = s.cfg.Decorate(dev)
-	}
-	res, err := s.cfg.Verifier.VerifyContext(ctx, dev)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.met.deadlines.Inc()
-			return nil, ChipReport{}, 0, &httpError{http.StatusGatewayTimeout, "verification deadline exceeded"}
+	var (
+		rep ChipReport
+		res counterfeit.Result
+	)
+	herr := s.withChip(raw, func(dev device.Device) *httpError {
+		var err error
+		res, err = s.cfg.Verifier.VerifyContext(ctx, dev)
+		if err != nil {
+			if errors.Is(err, context.DeadlineExceeded) {
+				s.met.deadlines.Inc()
+				return &httpError{http.StatusGatewayTimeout, "verification deadline exceeded"}
+			}
+			if errors.Is(err, context.Canceled) {
+				return &httpError{statusClientClosedRequest, "client canceled the request"}
+			}
+			return &httpError{http.StatusUnprocessableEntity, "verification failed: " + err.Error()}
 		}
-		if errors.Is(err, context.Canceled) {
-			return nil, ChipReport{}, 0, &httpError{statusClientClosedRequest, "client canceled the request"}
+		rep = ChipReport{
+			SHA256:              sum,
+			Part:                dev.PartName(),
+			Seed:                dev.Seed(),
+			Verdict:             res.Verdict.String(),
+			Accepted:            res.Verdict.Accepted(),
+			ReplicaDisagreement: res.ReplicaDisagreement,
+			WornDataSegments:    res.WornDataSegments,
+			SampledDataSegments: res.SampledDataSegments,
+			DeviceTimeUs:        dev.Clock().Now().Microseconds(),
 		}
-		return nil, ChipReport{}, 0, &httpError{http.StatusUnprocessableEntity, "verification failed: " + err.Error()}
-	}
-	rep := ChipReport{
-		SHA256:              sum,
-		Part:                dev.PartName(),
-		Seed:                dev.Seed(),
-		Verdict:             res.Verdict.String(),
-		Accepted:            res.Verdict.Accepted(),
-		ReplicaDisagreement: res.ReplicaDisagreement,
-		WornDataSegments:    res.WornDataSegments,
-		SampledDataSegments: res.SampledDataSegments,
-		DeviceTimeUs:        dev.Clock().Now().Microseconds(),
+		return nil
+	})
+	if herr != nil {
+		return nil, ChipReport{}, 0, herr
 	}
 	if res.DecodeErr == nil && res.Verdict != counterfeit.VerdictInconclusive {
 		rep.Payload = &PayloadReport{
@@ -359,13 +286,13 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer done()
-	raw, release, herr := s.readBody(w, r)
+	raw, releaseBody, herr := s.readBody(w, r)
 	if herr != nil {
 		s.met.errors.Inc()
 		writeError(w, herr.status, herr.msg)
 		return
 	}
-	defer release()
+	defer releaseBody()
 	// A cache hit bypasses admission: it consumes no verification
 	// worker. The provenance overlay still applies — escalation depends
 	// on live registry state, which is exactly what the cache omits.
@@ -383,16 +310,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeJSONBody(w, http.StatusOK, body)
 		return
 	}
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if errors.Is(err, errOverloaded) {
-			s.met.rejected.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "verification queue is full; retry later")
-			return
-		}
-		s.met.errors.Inc()
-		writeError(w, statusClientClosedRequest, "client canceled while queued")
+	release, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
 	defer release()
@@ -440,13 +359,13 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer done()
-	raw, release, herr := s.readBody(w, r)
+	raw, releaseBody, herr := s.readBody(w, r)
 	if herr != nil {
 		s.met.errors.Inc()
 		writeError(w, herr.status, herr.msg)
 		return
 	}
-	defer release()
+	defer releaseBody()
 	// Unmarshal copies each chip element out of raw (RawMessage always
 	// appends into its own storage), so the pooled body can be released
 	// when the handler returns.
@@ -463,16 +382,8 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// The whole batch occupies one admission slot; its internal fan-out
 	// is bounded separately by BatchWorkers on the parallel engine.
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if errors.Is(err, errOverloaded) {
-			s.met.rejected.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "verification queue is full; retry later")
-			return
-		}
-		s.met.errors.Inc()
-		writeError(w, statusClientClosedRequest, "client canceled while queued")
+	release, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
 	defer release()

@@ -275,16 +275,8 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseBody()
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if err == errOverloaded {
-			s.met.rejected.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "verification queue is full; retry later")
-			return
-		}
-		s.met.errors.Inc()
-		writeError(w, statusClientClosedRequest, "client canceled while queued")
+	release, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
 	defer release()
