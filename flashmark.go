@@ -35,8 +35,10 @@
 //	views, _ := flashmark.ReplicaViews(words, codec.PayloadWords(), 7)
 //	got, report, _ := codec.DecodeReplicas(views)
 //
-// See examples/ for complete programs and cmd/fmexperiments for the
-// reproduction of every table and figure in the paper's evaluation.
+// See the package examples (example_test.go) for complete, output-checked
+// flows — die sort, incoming inspection, the counterfeiter's attacks,
+// NAND — and cmd/fmexperiments for the reproduction of every table and
+// figure in the paper's evaluation.
 package flashmark
 
 import (

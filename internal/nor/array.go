@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 )
 
 // Analog margin sentinels. A cell's margin is the analog distance (in µs
@@ -153,9 +152,9 @@ const (
 )
 
 // AppendBinary serializes the array state into dst (reusing its
-// capacity) and returns the extended slice. The encoding is the exact
-// MarshalBinary layout; callers that serialize in a loop pass a recycled
-// buffer so the steady state allocates nothing.
+// capacity) and returns the extended slice, in the layout above;
+// callers that serialize in a loop pass a recycled buffer so the steady
+// state allocates nothing.
 func (a *Array) AppendBinary(dst []byte) ([]byte, error) {
 	dst = append(dst, arrayMagic...)
 	dst = binary.LittleEndian.AppendUint16(dst, arrayVersion)
@@ -178,25 +177,6 @@ func (a *Array) AppendBinary(dst []byte) ([]byte, error) {
 		}
 	}
 	return dst, nil
-}
-
-// marshalScratch recycles the variable-size encode buffer across
-// MarshalBinary calls; only the exact-size result is freshly allocated.
-var marshalScratch = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// MarshalBinary serializes the array state.
-func (a *Array) MarshalBinary() ([]byte, error) {
-	sp := marshalScratch.Get().(*[]byte)
-	scratch, err := a.AppendBinary((*sp)[:0])
-	*sp = scratch[:0]
-	if err != nil {
-		marshalScratch.Put(sp)
-		return nil, err
-	}
-	out := make([]byte, len(scratch))
-	copy(out, scratch)
-	marshalScratch.Put(sp)
-	return out, nil
 }
 
 // needBytes checks that n more bytes are available at off, reporting
@@ -245,7 +225,7 @@ func decodeArrayHeader(data []byte) (Geometry, int, error) {
 // ArrayGeometry reads just the serialized array's geometry header without
 // building the array. Loaders that know the geometry they expect (e.g. a
 // chip file naming a catalog part) use it to reject mismatched or
-// oversized arrays before UnmarshalArray commits the full per-cell
+// oversized arrays before UnmarshalArrayInto commits the full per-cell
 // allocation — untrusted input must not command allocations the header
 // alone can rule out.
 func ArrayGeometry(data []byte) (Geometry, error) {
@@ -270,12 +250,7 @@ func (a *Array) Reset() {
 	clear(a.wear)
 }
 
-// UnmarshalArray reconstructs an array from MarshalBinary output.
-func UnmarshalArray(data []byte) (*Array, error) {
-	return UnmarshalArrayInto(nil, data)
-}
-
-// UnmarshalArrayInto reconstructs an array from MarshalBinary output,
+// UnmarshalArrayInto reconstructs an array from AppendBinary output,
 // reusing dst's cell storage when dst's geometry matches the serialized
 // geometry (dst's previous contents are discarded); otherwise — and
 // when dst is nil — a fresh array is allocated. On error a reused dst

@@ -128,7 +128,7 @@ func TestSegmentWearSummary(t *testing.T) {
 
 func TestMarshalRoundTripFresh(t *testing.T) {
 	a := newSmallArray(t)
-	data, err := a.MarshalBinary()
+	data, err := a.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestMarshalRoundTripFresh(t *testing.T) {
 	if len(data) > 64 {
 		t.Errorf("fresh array serialized to %d bytes, expected compact", len(data))
 	}
-	b, err := UnmarshalArray(data)
+	b, err := UnmarshalArrayInto(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestMarshalRoundTripModified(t *testing.T) {
 	a.SetMargin(9, 2.5)   // partial
 	a.AddWear(5, 40000)
 	a.AddWear(100, 0.05)
-	data, err := a.MarshalBinary()
+	data, err := a.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := UnmarshalArray(data)
+	b, err := UnmarshalArrayInto(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +186,8 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		append([]byte("NORA\x01\x00"), make([]byte, 16)...), // zero geometry
 	}
 	for i, data := range cases {
-		if _, err := UnmarshalArray(data); err == nil {
-			t.Errorf("case %d: UnmarshalArray accepted garbage", i)
+		if _, err := UnmarshalArrayInto(nil, data); err == nil {
+			t.Errorf("case %d: UnmarshalArrayInto accepted garbage", i)
 		}
 	}
 }
@@ -195,9 +195,9 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 func TestUnmarshalRejectsCorruptCellRecords(t *testing.T) {
 	a := newSmallArray(t)
 	a.AddWear(3, 5)
-	data, _ := a.MarshalBinary()
+	data, _ := a.AppendBinary(nil)
 	// Truncate mid-record.
-	if _, err := UnmarshalArray(data[:len(data)-4]); err == nil {
+	if _, err := UnmarshalArrayInto(nil, data[:len(data)-4]); err == nil {
 		t.Error("truncated record accepted")
 	}
 	// Corrupt the cell index to be out of range.
@@ -206,7 +206,7 @@ func TestUnmarshalRejectsCorruptCellRecords(t *testing.T) {
 	for i := 30; i < 38; i++ {
 		bad[i] = 0xFF
 	}
-	if _, err := UnmarshalArray(bad); err == nil {
+	if _, err := UnmarshalArrayInto(nil, bad); err == nil {
 		t.Error("out-of-range cell index accepted")
 	}
 }
@@ -241,11 +241,11 @@ func TestQuickMarshalRoundTrip(t *testing.T) {
 			a.SetMargin(cell, float64(m.M))
 			a.AddWear(cell, float64(m.W))
 		}
-		data, err := a.MarshalBinary()
+		data, err := a.AppendBinary(nil)
 		if err != nil {
 			return false
 		}
-		b, err := UnmarshalArray(data)
+		b, err := UnmarshalArrayInto(nil, data)
 		if err != nil {
 			return false
 		}
@@ -269,8 +269,10 @@ func BenchmarkMarshalWornSegment(b *testing.B) {
 		a.SetMargin(i, -1e39)
 	}
 	b.ReportAllocs()
+	var buf []byte
 	for i := 0; i < b.N; i++ {
-		if _, err := a.MarshalBinary(); err != nil {
+		var err error
+		if buf, err = a.AppendBinary(buf[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -278,7 +280,7 @@ func BenchmarkMarshalWornSegment(b *testing.B) {
 
 // TestUnmarshalArrayIntoReuses pins the reuse contract: a matching-
 // geometry destination is recycled in place (same backing storage, no
-// allocation) and decodes to exactly the state a fresh UnmarshalArray
+// allocation) and decodes to exactly the state a fresh decode
 // produces, even when the destination carries arbitrary prior state.
 func TestUnmarshalArrayIntoReuses(t *testing.T) {
 	a := newSmallArray(t)
@@ -286,11 +288,11 @@ func TestUnmarshalArrayIntoReuses(t *testing.T) {
 	a.SetMargin(9, 2.5)
 	a.AddWear(5, 40000)
 	a.AddWear(100, 0.05)
-	data, err := a.MarshalBinary()
+	data, err := a.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := UnmarshalArray(data)
+	want, err := UnmarshalArrayInto(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}

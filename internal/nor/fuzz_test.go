@@ -12,7 +12,7 @@ func FuzzUnmarshalArray(f *testing.F) {
 	}
 	a.SetMargin(3, -1e39)
 	a.AddWear(3, 1000)
-	good, err := a.MarshalBinary()
+	good, err := a.AppendBinary(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -21,15 +21,15 @@ func FuzzUnmarshalArray(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		arr, err := UnmarshalArray(data)
+		arr, err := UnmarshalArrayInto(nil, data)
 		if err != nil {
 			return
 		}
-		re, err := arr.MarshalBinary()
+		re, err := arr.AppendBinary(nil)
 		if err != nil {
 			t.Fatalf("accepted array failed to re-marshal: %v", err)
 		}
-		back, err := UnmarshalArray(re)
+		back, err := UnmarshalArrayInto(nil, re)
 		if err != nil {
 			t.Fatalf("re-marshaled array failed to load: %v", err)
 		}

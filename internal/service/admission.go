@@ -2,14 +2,9 @@ package service
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"sync/atomic"
 )
-
-// errOverloaded is returned by the gate when the bounded queue is full;
-// admit maps it to 429 + Retry-After.
-var errOverloaded = errors.New("service: admission queue full")
 
 // gate is the admission controller: at most `workers` verifications run
 // concurrently, at most `queue` more wait for a slot, and everything
@@ -29,45 +24,28 @@ func newGate(workers, queue int) *gate {
 	}
 }
 
-// acquire admits the caller or refuses. On success it returns a release
-// function the caller must invoke when the verification finishes. A
-// full queue returns errOverloaded without blocking; a context
-// cancellation while queued returns the context error.
-func (g *gate) acquire(ctx context.Context) (release func(), err error) {
+// acquire admits the caller, or answers why not: 429 without blocking
+// when the queue is full, 499 when ctx ends while queued. On nil the
+// caller holds a slot and must call release when its verification
+// finishes.
+func (g *gate) acquire(ctx context.Context) error {
 	if g.pending.Add(1) > g.limit {
 		g.pending.Add(-1)
-		return nil, errOverloaded
+		return &httpError{http.StatusTooManyRequests, "verification queue is full; retry later"}
 	}
 	select {
 	case g.slots <- struct{}{}:
-		return func() {
-			<-g.slots
-			g.pending.Add(-1)
-		}, nil
+		return nil
 	case <-ctx.Done():
 		g.pending.Add(-1)
-		return nil, ctx.Err()
+		return &httpError{statusClientClosedRequest, "client canceled while queued"}
 	}
 }
 
-// admit takes a verification slot for r. When the gate refuses, admit
-// answers the request itself (429 with Retry-After when the queue is
-// full, 499 when the client gave up while queued) and reports false;
-// otherwise the caller must call release when its verification ends.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	release, err := s.gate.acquire(r.Context())
-	switch {
-	case err == nil:
-		return release, true
-	case errors.Is(err, errOverloaded):
-		s.met.rejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "verification queue is full; retry later")
-	default:
-		s.met.errors.Inc()
-		writeError(w, statusClientClosedRequest, "client canceled while queued")
-	}
-	return nil, false
+// release returns the slot a successful acquire took.
+func (g *gate) release() {
+	<-g.slots
+	g.pending.Add(-1)
 }
 
 // queued returns how many admitted requests are waiting for a worker

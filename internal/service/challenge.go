@@ -82,12 +82,12 @@ const (
 // runs the configured challenge interrogation on it. The device is
 // rebuilt per call (interrogation destroys the probe segment's content,
 // and pooled loader storage must not outlive the call).
-func (s *Server) interrogateRaw(raw []byte) (challenge.Response, int64, *httpError) {
+func (s *Server) interrogateRaw(raw []byte) (challenge.Response, int64, error) {
 	var (
 		resp  challenge.Response
 		devUs int64
 	)
-	herr := s.withChip(raw, func(dev device.Device) *httpError {
+	err := s.withChip(raw, func(dev device.Device) error {
 		var err error
 		resp, err = challenge.Interrogate(dev, *s.cfg.Challenge)
 		if err != nil {
@@ -96,8 +96,8 @@ func (s *Server) interrogateRaw(raw []byte) (challenge.Response, int64, *httpErr
 		devUs = dev.Clock().Now().Microseconds()
 		return nil
 	})
-	if herr != nil {
-		return challenge.Response{}, 0, herr
+	if err != nil {
+		return challenge.Response{}, 0, err
 	}
 	return resp, devUs, nil
 }
@@ -106,10 +106,10 @@ func (s *Server) interrogateRaw(raw []byte) (challenge.Response, int64, *httpErr
 // beside its enrolled identity. Returns the interrogation and whether
 // the registry now holds conflicting response fingerprints for the id
 // (a different physical chip enrolled the same identity earlier).
-func (s *Server) enrollChallenge(k registry.Key, source string, raw []byte) (challenge.Response, registry.EnrollResult, *httpError) {
-	resp, _, herr := s.interrogateRaw(raw)
-	if herr != nil {
-		return challenge.Response{}, registry.EnrollResult{}, herr
+func (s *Server) enrollChallenge(k registry.Key, source string, raw []byte) (challenge.Response, registry.EnrollResult, error) {
+	resp, _, err := s.interrogateRaw(raw)
+	if err != nil {
+		return challenge.Response{}, registry.EnrollResult{}, err
 	}
 	res, err := s.cfg.Provenance.Enroll(registry.Enrollment{
 		Key:         challengeKey(k),
@@ -124,63 +124,17 @@ func (s *Server) enrollChallenge(k registry.Key, source string, raw []byte) (cha
 	return resp, res, nil
 }
 
-// handleChallenge answers POST /v1/challenge: screen the chip (only a
+// serveChallenge answers POST /v1/challenge: screen the chip (only a
 // physics-GENUINE chip is worth challenging), interrogate it, and judge
 // the response against the enrolled fingerprint.
-func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
-	start := s.cfg.Now()
-	s.met.requests.Inc()
-	defer func() { s.met.latency.ObserveDuration(s.since(start)) }()
-	if r.Method != http.MethodPost {
-		s.met.errors.Inc()
-		writeError(w, http.StatusMethodNotAllowed, "use POST with a chip file body")
-		return
+func (s *Server) serveChallenge(ctx context.Context, req *request) ([]byte, error) {
+	rep, k, _, err := s.screenIdentity(ctx, req.raw, "challenged")
+	if err != nil {
+		return nil, err
 	}
-	if s.cfg.Challenge == nil {
-		s.met.errors.Inc()
-		writeError(w, http.StatusNotImplemented, "no challenge-response plane configured (start fmverifyd with -challenge)")
-		return
-	}
-	done, ok := s.beginRequest()
-	if !ok {
-		s.met.errors.Inc()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	defer done()
-	raw, releaseBody, herr := s.readBody(w, r)
-	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	defer releaseBody()
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	_, rep, verdict, _, herr := s.screenCached(ctx, chipKey(raw), raw)
-	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	k, _, ok := chipIdentity(&rep)
-	if !ok {
-		s.countChip(verdict)
-		s.met.errors.Inc()
-		writeError(w, http.StatusUnprocessableEntity,
-			"only chips that verify GENUINE can be challenged; this chip screened "+rep.Verdict)
-		return
-	}
-	resp, devUs, herr := s.interrogateRaw(raw)
-	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
-		return
+	resp, devUs, err := s.interrogateRaw(req.raw)
+	if err != nil {
+		return nil, err
 	}
 	s.met.challenges.Inc()
 	out := ChallengeReport{
@@ -225,14 +179,12 @@ func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.countChip(counterfeit.VerdictDuplicateID)
 	}
-	body, merr := json.Marshal(out)
-	if merr != nil {
-		s.met.errors.Inc()
-		writeError(w, http.StatusInternalServerError, "encoding report: "+merr.Error())
-		return
+	body, err := json.Marshal(out)
+	if err != nil {
+		return nil, &httpError{http.StatusInternalServerError, "encoding report: " + err.Error()}
 	}
 	s.logf("challenge %s/%d (%s) -> %s (enrolled=%v match=%v) in %v",
 		k.Manufacturer, k.DieID, rep.SHA256[:12], out.Verdict, out.Enrolled, out.Match,
-		s.since(start).Round(time.Millisecond))
-	writeJSONBody(w, http.StatusOK, body)
+		s.since(req.start).Round(time.Millisecond))
+	return body, nil
 }

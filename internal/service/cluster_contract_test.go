@@ -43,7 +43,7 @@ func TestClusterBatchByteIdenticalToLocal(t *testing.T) {
 	// Two servers over the same verifier: one with a plain in-process
 	// registry, one fronting a 2-shard cluster.
 	localStore := registry.NewMemory(0)
-	_, localTS := newTestServer(t, Config{Provenance: localStore, BatchWorkers: 4})
+	_, localTS := newTestServer(t, Config{Provenance: localStore, Workers: 4})
 
 	clusterClient, err := cluster.NewClient(
 		[]cluster.ShardSpec{{Primary: startShard(t)}, {Primary: startShard(t)}},
@@ -53,7 +53,7 @@ func TestClusterBatchByteIdenticalToLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { clusterClient.Close() })
-	_, clusterTS := newTestServer(t, Config{Provenance: clusterClient, BatchWorkers: 4})
+	_, clusterTS := newTestServer(t, Config{Provenance: clusterClient, Workers: 4})
 
 	// A mixed fleet: victims, their clones, a clean chip, an unmarked
 	// fake. Die ids chosen so the ring splits them across both shards.

@@ -141,7 +141,7 @@ func TestGoldenFaultResponse(t *testing.T) {
 // sorted verdict tally, fleet-registry escalation of the clone, and the
 // retroactive in-batch escalation of both holders of a duplicated id.
 func TestGoldenBatchResponse(t *testing.T) {
-	_, ts := newTestServer(t, Config{Verifier: goldenVerifier(), Provenance: goldenStore(t), BatchWorkers: 4})
+	_, ts := newTestServer(t, Config{Verifier: goldenVerifier(), Provenance: goldenStore(t), Workers: 4})
 	var req BatchRequest
 	for _, c := range [][]byte{
 		chipBytes(t, counterfeit.ClassGenuineAccept, goldenSeedGenuine, goldenDieGenuine),

@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -74,78 +72,6 @@ type BatchResponse struct {
 	Summary BatchSummary      `json:"summary"`
 }
 
-// httpError carries a status code through the screening path.
-type httpError struct {
-	status int
-	msg    string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, "{\"error\":%q}\n", msg)
-}
-
-func writeJSONBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-	if len(body) == 0 || body[len(body)-1] != '\n' {
-		_, _ = io.WriteString(w, "\n")
-	}
-}
-
-// beginRequest registers an in-flight verification unless the server is
-// draining; the caller must invoke the returned done func.
-func (s *Server) beginRequest() (done func(), ok bool) {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	if s.Draining() {
-		return nil, false
-	}
-	s.inflight.Add(1)
-	return func() { s.inflight.Done() }, true
-}
-
-// bodyScratch recycles request-body read buffers across requests: the
-// dominant body (one chip file, ~100KB of base64) is read into pooled
-// capacity instead of a fresh io.ReadAll allocation chain per request.
-var bodyScratch = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
-
-// readBody drains the request body under the configured cap into a
-// pooled buffer. On success the caller owns raw until it calls release
-// (typically deferred to the end of the handler); raw must not be
-// retained past it. Everything handed onward — report bodies, cache
-// entries, batch chip elements — is copied out of raw by construction.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (raw []byte, release func(), herr *httpError) {
-	bp := bodyScratch.Get().(*[]byte)
-	buf := (*bp)[:0]
-	lr := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := lr.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			*bp = buf[:0]
-			bodyScratch.Put(bp)
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				return nil, nil, &httpError{http.StatusRequestEntityTooLarge,
-					fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
-			}
-			return nil, nil, &httpError{http.StatusBadRequest, "reading request body: " + err.Error()}
-		}
-	}
-	return buf, func() { *bp = buf[:0]; bodyScratch.Put(bp) }, nil
-}
-
 // chipLoaders pools chip-file dispatchers so a steady request stream
 // reloads chips into recycled arrays. It is shared by every Server in
 // the process, like bodyScratch: a loader holds no server state, and a
@@ -157,7 +83,7 @@ var chipLoaders = sync.Pool{New: func() any { return new(chipfile.Loader) }}
 // configured decorator, and runs use on the device. The device aliases
 // the loader's storage, so the loader returns to the pool only after
 // use does; use must not keep the device.
-func (s *Server) withChip(raw []byte, use func(device.Device) *httpError) *httpError {
+func (s *Server) withChip(raw []byte, use func(device.Device) error) error {
 	ld := chipLoaders.Get().(*chipfile.Loader)
 	defer chipLoaders.Put(ld)
 	dev, err := ld.Load(raw)
@@ -172,22 +98,20 @@ func (s *Server) withChip(raw []byte, use func(device.Device) *httpError) *httpE
 
 // screenChip runs one chip's bytes through parse -> decorate -> verify
 // and renders the ChipReport. The encoded body, its decoded form, and
-// the verdict come back for caching; failures come back as *httpError.
-func (s *Server) screenChip(ctx context.Context, raw []byte, sum string) ([]byte, ChipReport, counterfeit.Verdict, *httpError) {
+// the verdict come back for caching. A chip that cannot be screened
+// comes back as an *httpError; a verification the request's context
+// ended comes back as that context error, for the lifecycle to answer.
+func (s *Server) screenChip(ctx context.Context, raw []byte, sum string) ([]byte, ChipReport, counterfeit.Verdict, error) {
 	var (
 		rep ChipReport
 		res counterfeit.Result
 	)
-	herr := s.withChip(raw, func(dev device.Device) *httpError {
+	err := s.withChip(raw, func(dev device.Device) error {
 		var err error
 		res, err = s.cfg.Verifier.VerifyContext(ctx, dev)
 		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				s.met.deadlines.Inc()
-				return &httpError{http.StatusGatewayTimeout, "verification deadline exceeded"}
-			}
-			if errors.Is(err, context.Canceled) {
-				return &httpError{statusClientClosedRequest, "client canceled the request"}
+			if errors.Is(err, ctx.Err()) {
+				return err
 			}
 			return &httpError{http.StatusUnprocessableEntity, "verification failed: " + err.Error()}
 		}
@@ -204,8 +128,8 @@ func (s *Server) screenChip(ctx context.Context, raw []byte, sum string) ([]byte
 		}
 		return nil
 	})
-	if herr != nil {
-		return nil, ChipReport{}, 0, herr
+	if err != nil {
+		return nil, ChipReport{}, 0, err
 	}
 	if res.DecodeErr == nil && res.Verdict != counterfeit.VerdictInconclusive {
 		rep.Payload = &PayloadReport{
@@ -226,10 +150,6 @@ func (s *Server) screenChip(ctx context.Context, raw []byte, sum string) ([]byte
 	return body, rep, res.Verdict, nil
 }
 
-// statusClientClosedRequest is nginx's conventional code for a request
-// the client abandoned; no RFC status fits better.
-const statusClientClosedRequest = 499
-
 // chipKey is the registry-cache key: the content hash of the chip bytes.
 // The verifier policy is fixed per server, so the hash alone identifies
 // the verdict.
@@ -244,15 +164,15 @@ func chipKey(raw []byte) string {
 // Cached entries hold the physics verdict only — the provenance overlay
 // (applyProvenance/batchProvenance) runs per request on top, and the
 // caller counts the final verdict into the metrics.
-func (s *Server) screenCached(ctx context.Context, key string, raw []byte) ([]byte, ChipReport, counterfeit.Verdict, bool, *httpError) {
+func (s *Server) screenCached(ctx context.Context, key string, raw []byte) ([]byte, ChipReport, counterfeit.Verdict, bool, error) {
 	if body, rep, verdict, ok := s.cache.Get(key); ok {
 		s.met.cacheHit.Inc()
 		return body, rep, verdict, true, nil
 	}
 	s.met.cacheMiss.Inc()
-	body, rep, verdict, herr := s.screenChip(ctx, raw, key)
-	if herr != nil {
-		return nil, ChipReport{}, 0, false, herr
+	body, rep, verdict, err := s.screenChip(ctx, raw, key)
+	if err != nil {
+		return nil, ChipReport{}, 0, false, err
 	}
 	s.cache.Put(key, body, rep, verdict)
 	return body, rep, verdict, false, nil
@@ -268,197 +188,130 @@ func (s *Server) countChip(v counterfeit.Verdict) {
 	}
 }
 
-// handleVerify answers POST /v1/verify: one chip file in, one
+// verifyHit is /v1/verify's pre-admission step. A chip in the verdict
+// cache is answered here: it consumes no verification worker, so it
+// takes no admission slot and no deadline, and it is not logged. The
+// provenance overlay still applies — escalation depends on live
+// registry state, which is exactly what the cache omits.
+func (s *Server) verifyHit(req *request) ([]byte, error) {
+	req.key = chipKey(req.raw)
+	body, rep, verdict, ok := s.cache.Get(req.key)
+	if !ok {
+		return nil, nil
+	}
+	s.met.cacheHit.Inc()
+	body, verdict, err := s.applyProvenance(body, &rep, verdict)
+	if err != nil {
+		return nil, err
+	}
+	s.countChip(verdict)
+	req.w.Header().Set("X-Cache", "hit")
+	return body, nil
+}
+
+// serveVerify answers POST /v1/verify: one chip file in, one
 // ChipReport out.
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	start := s.cfg.Now()
-	s.met.requests.Inc()
-	defer func() { s.met.latency.ObserveDuration(s.since(start)) }()
-	if r.Method != http.MethodPost {
-		s.met.errors.Inc()
-		writeError(w, http.StatusMethodNotAllowed, "use POST with a chip file body")
-		return
+func (s *Server) serveVerify(ctx context.Context, req *request) ([]byte, error) {
+	body, rep, verdict, cached, err := s.screenCached(ctx, req.key, req.raw)
+	if err != nil {
+		return nil, err
 	}
-	done, ok := s.beginRequest()
-	if !ok {
-		s.met.errors.Inc()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	defer done()
-	raw, releaseBody, herr := s.readBody(w, r)
-	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	defer releaseBody()
-	// A cache hit bypasses admission: it consumes no verification
-	// worker. The provenance overlay still applies — escalation depends
-	// on live registry state, which is exactly what the cache omits.
-	key := chipKey(raw)
-	if body, rep, verdict, ok := s.cache.Get(key); ok {
-		s.met.cacheHit.Inc()
-		body, verdict, herr := s.applyProvenance(body, &rep, verdict)
-		if herr != nil {
-			s.met.errors.Inc()
-			writeError(w, herr.status, herr.msg)
-			return
-		}
-		s.countChip(verdict)
-		w.Header().Set("X-Cache", "hit")
-		writeJSONBody(w, http.StatusOK, body)
-		return
-	}
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	body, rep, verdict, cached, herr := s.screenCached(ctx, key, raw)
-	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	body, verdict, herr = s.applyProvenance(body, &rep, verdict)
-	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
-		return
+	body, verdict, err = s.applyProvenance(body, &rep, verdict)
+	if err != nil {
+		return nil, err
 	}
 	s.countChip(verdict)
 	if cached {
-		w.Header().Set("X-Cache", "hit")
+		req.w.Header().Set("X-Cache", "hit")
 	} else {
-		w.Header().Set("X-Cache", "miss")
+		req.w.Header().Set("X-Cache", "miss")
 	}
-	s.logf("verify %s -> %s in %v", key[:12], verdict, s.since(start).Round(time.Millisecond))
-	writeJSONBody(w, http.StatusOK, body)
+	s.logf("verify %s -> %s in %v", req.key[:12], verdict, s.since(req.start).Round(time.Millisecond))
+	return body, nil
 }
 
-// handleVerifyBatch answers POST /v1/verify/batch: a population of chip
-// files fans out over the deterministic parallel engine; results are
-// indexed by input order, so two identical batch requests produce
-// byte-identical response bodies no matter how the fan-out is scheduled.
-func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
-	start := s.cfg.Now()
-	s.met.requests.Inc()
-	defer func() { s.met.latency.ObserveDuration(s.since(start)) }()
-	if r.Method != http.MethodPost {
-		s.met.errors.Inc()
-		writeError(w, http.StatusMethodNotAllowed, "use POST with a JSON batch body")
-		return
+// decodeBatch is /v1/verify/batch's pre-admission step: a malformed or
+// empty batch is refused before it takes an admission slot. Unmarshal
+// copies each chip element out of the pooled body (RawMessage always
+// appends into its own storage).
+func decodeBatch(req *request) ([]byte, error) {
+	var br BatchRequest
+	if err := json.Unmarshal(req.raw, &br); err != nil {
+		return nil, &httpError{http.StatusBadRequest, "batch body must be {\"chips\":[...]}: " + err.Error()}
 	}
-	done, ok := s.beginRequest()
-	if !ok {
-		s.met.errors.Inc()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+	if len(br.Chips) == 0 {
+		return nil, &httpError{http.StatusBadRequest, "batch contains no chips"}
 	}
-	defer done()
-	raw, releaseBody, herr := s.readBody(w, r)
-	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	defer releaseBody()
-	// Unmarshal copies each chip element out of raw (RawMessage always
-	// appends into its own storage), so the pooled body can be released
-	// when the handler returns.
-	var req BatchRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		s.met.errors.Inc()
-		writeError(w, http.StatusBadRequest, "batch body must be {\"chips\":[...]}: "+err.Error())
-		return
-	}
-	if len(req.Chips) == 0 {
-		s.met.errors.Inc()
-		writeError(w, http.StatusBadRequest, "batch contains no chips")
-		return
-	}
-	// The whole batch occupies one admission slot; its internal fan-out
-	// is bounded separately by BatchWorkers on the parallel engine.
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
+	req.chips = br.Chips
+	return nil, nil
+}
 
-	type chipOutcome struct {
-		body    []byte
-		rep     ChipReport
-		verdict counterfeit.Verdict
-		failed  bool
-	}
-	pool := parallel.Pool{Workers: s.cfg.BatchWorkers}
-	outcomes, err := parallel.MapContext(ctx, pool, len(req.Chips), func(i int) (chipOutcome, error) {
-		key := chipKey(req.Chips[i])
-		body, rep, verdict, _, herr := s.screenCached(ctx, key, req.Chips[i])
-		if herr != nil {
-			if herr.status == http.StatusGatewayTimeout || herr.status == statusClientClosedRequest {
-				// A dead context ends the whole batch, not just this chip.
-				return chipOutcome{}, ctx.Err()
-			}
-			rep := ChipReport{SHA256: key, Verdict: "ERROR", Error: herr.msg}
-			eb, merr := encodeChipReport(&rep)
-			if merr != nil {
-				return chipOutcome{}, merr
-			}
-			return chipOutcome{body: eb, rep: rep, failed: true}, nil
-		}
-		return chipOutcome{body: body, rep: rep, verdict: verdict}, nil
-	})
+// chipOutcome is one batch element after screening: its report body,
+// the report's decoded form and the verdict, or, when the element could
+// not be screened, an embedded ERROR report marked failed.
+type chipOutcome struct {
+	body    []byte
+	rep     ChipReport
+	verdict counterfeit.Verdict
+	failed  bool
+}
+
+// serveBatch answers POST /v1/verify/batch: a population of chip files
+// fans out over the deterministic parallel engine; results are indexed
+// by input order, so two identical batch requests produce
+// byte-identical response bodies no matter how the fan-out is
+// scheduled. The whole batch holds one admission slot, and its fan-out
+// runs on up to Workers goroutines.
+func (s *Server) serveBatch(ctx context.Context, req *request) ([]byte, error) {
+	outcomes, err := parallel.MapContext(ctx, parallel.Pool{Workers: s.cfg.Workers}, len(req.chips),
+		func(i int) (chipOutcome, error) { return s.screenElement(ctx, req.chips[i]) })
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.met.deadlines.Inc()
-			s.met.errors.Inc()
-			writeError(w, http.StatusGatewayTimeout, "batch verification deadline exceeded")
-			return
-		}
-		s.met.errors.Inc()
-		writeError(w, http.StatusInternalServerError, "batch verification failed: "+err.Error())
-		return
+		return nil, err
 	}
-	// Registry post-pass: serial, in input order, after the parallel
-	// physics fan-out — the response stays byte-deterministic no matter
-	// how the fan-out was scheduled.
-	bodies := make([][]byte, len(outcomes))
-	reps := make([]ChipReport, len(outcomes))
-	verdicts := make([]counterfeit.Verdict, len(outcomes))
-	failed := make([]bool, len(outcomes))
-	for i, o := range outcomes {
-		bodies[i], reps[i], verdicts[i], failed[i] = o.body, o.rep, o.verdict, o.failed
-	}
-	if herr := s.batchProvenance(bodies, reps, verdicts, failed); herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
-		return
+	if err := s.batchProvenance(outcomes); err != nil {
+		return nil, err
 	}
 	summary := BatchSummary{Chips: len(outcomes), Verdicts: make(map[string]int)}
-	for i := range outcomes {
-		if failed[i] {
+	bodies := make([][]byte, len(outcomes))
+	for i, o := range outcomes {
+		bodies[i] = o.body
+		if o.failed {
 			summary.Failed++
 			continue
 		}
-		s.countChip(verdicts[i])
-		summary.Verdicts[verdicts[i].String()]++
-		if verdicts[i].Accepted() {
+		s.countChip(o.verdict)
+		summary.Verdicts[o.verdict.String()]++
+		if o.verdict.Accepted() {
 			summary.Accepted++
 		} else {
 			summary.Refused++
 		}
 	}
-	body := appendBatchResponse(nil, bodies, summary, nil)
 	s.logf("batch of %d -> %d accepted, %d refused, %d failed in %v",
 		summary.Chips, summary.Accepted, summary.Refused,
-		summary.Failed, s.since(start).Round(time.Millisecond))
-	writeJSONBody(w, http.StatusOK, body)
+		summary.Failed, s.since(req.start).Round(time.Millisecond))
+	return appendBatchResponse(nil, bodies, summary, nil), nil
+}
+
+// screenElement screens one batch element. An element that cannot be
+// screened gets an ERROR report in its slot; only a context that ended
+// fails the element, and with it the whole batch.
+func (s *Server) screenElement(ctx context.Context, raw []byte) (chipOutcome, error) {
+	key := chipKey(raw)
+	body, rep, verdict, _, err := s.screenCached(ctx, key, raw)
+	var herr *httpError
+	switch {
+	case err == nil:
+		return chipOutcome{body: body, rep: rep, verdict: verdict}, nil
+	case !errors.As(err, &herr):
+		return chipOutcome{}, err
+	}
+	rep = ChipReport{SHA256: key, Verdict: "ERROR", Error: herr.msg}
+	body, err = encodeChipReport(&rep)
+	if err != nil {
+		return chipOutcome{}, err
+	}
+	return chipOutcome{body: body, rep: rep, failed: true}, nil
 }
 
 // handleHealthz answers liveness: 200 as long as the process serves.

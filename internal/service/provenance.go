@@ -134,7 +134,7 @@ func fleetReasonFrom(lr registry.LookupResult, ok bool, fp registry.Fingerprint)
 // provenance note, returning the new body and verdict. rep is mutated
 // in place; callers pass a request-local copy (cache hits hand out
 // value copies, so the cached physics report is never touched).
-func (s *Server) escalate(rep *ChipReport, reason string) ([]byte, counterfeit.Verdict, *httpError) {
+func (s *Server) escalate(rep *ChipReport, reason string) ([]byte, counterfeit.Verdict, error) {
 	rep.Verdict = counterfeit.VerdictDuplicateID.String()
 	rep.Accepted = false
 	rep.Provenance = reason
@@ -151,7 +151,7 @@ func (s *Server) escalate(rep *ChipReport, reason string) ([]byte, counterfeit.V
 // and the report escalated to DUPLICATE-ID on a mismatch. rep is the
 // decoded form of body (threaded from screening or the verdict cache,
 // so no re-unmarshal happens here). No-op without a configured store.
-func (s *Server) applyProvenance(body []byte, rep *ChipReport, verdict counterfeit.Verdict) ([]byte, counterfeit.Verdict, *httpError) {
+func (s *Server) applyProvenance(body []byte, rep *ChipReport, verdict counterfeit.Verdict) ([]byte, counterfeit.Verdict, error) {
 	if s.cfg.Provenance == nil || verdict != counterfeit.VerdictGenuine {
 		return body, verdict, nil
 	}
@@ -170,133 +170,81 @@ func (s *Server) applyProvenance(body []byte, rep *ChipReport, verdict counterfe
 // how the physics fan-out was scheduled. Two passes: every accepted
 // identity is first enrolled into a request-scoped Memory (the same
 // dedup kernel as the fleet store), then every item whose identity is
-// tainted — against the fleet or within the batch — is escalated. The
-// second pass makes the taint retroactive: the batch's first holder of
-// a duplicated id is flagged too. Identical chip bytes repeated in one
-// batch carry the same fingerprint and do not escalate, so client
-// retries stay safe.
-func (s *Server) batchProvenance(bodies [][]byte, reps []ChipReport, verdicts []counterfeit.Verdict, failed []bool) *httpError {
+// tainted — against the fleet or within the batch — is escalated in
+// place. The second pass makes the taint retroactive: the batch's first
+// holder of a duplicated id is flagged too. Identical chip bytes
+// repeated in one batch carry the same fingerprint and do not escalate,
+// so client retries stay safe.
+func (s *Server) batchProvenance(outcomes []chipOutcome) error {
 	if s.cfg.Provenance == nil {
 		return nil
 	}
 	type item struct {
+		i      int // the outcome's index
 		key    registry.Key
 		fp     registry.Fingerprint
-		track  bool
 		reason string
 	}
-	items := make([]item, len(bodies))
+	var items []item
 	batch := registry.NewMemory(0)
-	var tracked []int
-	for i := range bodies {
-		if failed[i] || verdicts[i] != counterfeit.VerdictGenuine {
+	for i := range outcomes {
+		o := &outcomes[i]
+		if o.failed || o.verdict != counterfeit.VerdictGenuine {
 			continue
 		}
-		it := &items[i]
-		k, fp, ok := chipIdentity(&reps[i])
-		if !ok {
-			continue
+		if k, fp, ok := chipIdentity(&o.rep); ok {
+			items = append(items, item{i: i, key: k, fp: fp})
+			batch.Enroll(registry.Enrollment{Key: k, Fingerprint: fp, Source: "batch"})
 		}
-		it.key, it.fp, it.track = k, fp, true
-		tracked = append(tracked, i)
-		batch.Enroll(registry.Enrollment{Key: k, Fingerprint: fp, Source: "batch"})
 	}
 	// Fleet lookups: one bulk fan-out across the registry shards when
 	// the backend supports it, else one lookup per identity. Either way
 	// the escalation decision (fleetReasonFrom) and hence the response
 	// bytes are identical — the registry is not mutated by this pass,
 	// so fetch order cannot change any answer.
-	if bl, ok := s.cfg.Provenance.(BatchLookuper); ok && len(tracked) > 0 {
-		keys := make([]registry.Key, len(tracked))
-		for j, i := range tracked {
-			keys[j] = items[i].key
+	if bl, ok := s.cfg.Provenance.(BatchLookuper); ok && len(items) > 0 {
+		keys := make([]registry.Key, len(items))
+		for j := range items {
+			keys[j] = items[j].key
 		}
 		results, found := bl.LookupBatch(keys)
-		for j, i := range tracked {
-			items[i].reason = fleetReasonFrom(results[j], found[j], items[i].fp)
+		for j := range items {
+			items[j].reason = fleetReasonFrom(results[j], found[j], items[j].fp)
 		}
 	} else {
-		for _, i := range tracked {
-			items[i].reason = s.fleetReason(items[i].key, items[i].fp)
+		for j := range items {
+			items[j].reason = s.fleetReason(items[j].key, items[j].fp)
 		}
 	}
-	for i := range items {
-		it := &items[i]
-		if !it.track {
-			continue
-		}
-		reason := it.reason
-		if reason == "" {
+	for _, it := range items {
+		if it.reason == "" {
 			if lr, ok := batch.Lookup(it.key); ok && lr.Conflict {
-				reason = "die id appears on multiple physical chips in this batch"
+				it.reason = "die id appears on multiple physical chips in this batch"
 			}
 		}
-		if reason == "" {
+		if it.reason == "" {
 			continue
 		}
-		body, verdict, herr := s.escalate(&reps[i], reason)
-		if herr != nil {
-			return herr
+		o := &outcomes[it.i]
+		body, verdict, err := s.escalate(&o.rep, it.reason)
+		if err != nil {
+			return err
 		}
-		bodies[i], verdicts[i] = body, verdict
+		o.body, o.verdict = body, verdict
 	}
 	return nil
 }
 
-// handleEnroll answers POST /v1/enroll: screen the chip, and if it
+// serveEnroll answers POST /v1/enroll: screen the chip, and if it
 // verifies GENUINE, record its identity in the fleet registry. The
 // response reports what the registry knew: a conflict means this
 // physical chip is the second claimant of the die id.
-func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
-	start := s.cfg.Now()
-	s.met.requests.Inc()
-	defer func() { s.met.latency.ObserveDuration(s.since(start)) }()
-	if r.Method != http.MethodPost {
-		s.met.errors.Inc()
-		writeError(w, http.StatusMethodNotAllowed, "use POST with a chip file body")
-		return
+func (s *Server) serveEnroll(ctx context.Context, req *request) ([]byte, error) {
+	rep, k, fp, err := s.screenIdentity(ctx, req.raw, "enrolled")
+	if err != nil {
+		return nil, err
 	}
-	if s.cfg.Provenance == nil {
-		s.met.errors.Inc()
-		writeError(w, http.StatusNotImplemented, "no fleet registry configured (start fmverifyd with -registry-dir)")
-		return
-	}
-	done, ok := s.beginRequest()
-	if !ok {
-		s.met.errors.Inc()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	defer done()
-	raw, releaseBody, herr := s.readBody(w, r)
-	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	defer releaseBody()
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	_, rep, verdict, _, herr := s.screenCached(ctx, chipKey(raw), raw)
-	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	k, fp, ok := chipIdentity(&rep)
-	if !ok {
-		s.countChip(verdict)
-		s.met.errors.Inc()
-		writeError(w, http.StatusUnprocessableEntity,
-			"only chips that verify GENUINE can be enrolled; this chip screened "+rep.Verdict)
-		return
-	}
-	source := r.URL.Query().Get("source")
+	source := req.r.URL.Query().Get("source")
 	if source == "" {
 		source = "fmverifyd"
 	}
@@ -313,9 +261,7 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 		UnixMicro:   s.cfg.Now().UnixMicro(),
 	})
 	if err != nil {
-		s.met.errors.Inc()
-		writeError(w, http.StatusInternalServerError, "enrollment failed: "+err.Error())
-		return
+		return nil, &httpError{http.StatusInternalServerError, "enrollment failed: " + err.Error()}
 	}
 	s.met.enrolls.Inc()
 	if res.Duplicate {
@@ -336,11 +282,9 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 		Conflict:     res.Conflict,
 	}
 	if s.cfg.Challenge != nil {
-		resp, chRes, herr := s.enrollChallenge(k, source, raw)
-		if herr != nil {
-			s.met.errors.Inc()
-			writeError(w, herr.status, herr.msg)
-			return
+		resp, chRes, err := s.enrollChallenge(k, source, req.raw)
+		if err != nil {
+			return nil, err
 		}
 		out.ChallengeFingerprint = resp.Fingerprint.String()
 		out.ChallengeConflict = chRes.Conflict
@@ -354,16 +298,33 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 		out.Accepted = false
 	}
 	s.countChip(verdictFromEnroll(res))
-	respBody, merr := json.Marshal(out)
-	if merr != nil {
-		s.met.errors.Inc()
-		writeError(w, http.StatusInternalServerError, "encoding report: "+merr.Error())
-		return
+	body, err := json.Marshal(out)
+	if err != nil {
+		return nil, &httpError{http.StatusInternalServerError, "encoding report: " + err.Error()}
 	}
 	s.logf("enroll %s/%d (%s) -> count=%d conflict=%v in %v",
 		k.Manufacturer, k.DieID, rep.SHA256[:12], res.Count, res.Conflict,
-		s.since(start).Round(time.Millisecond))
-	writeJSONBody(w, http.StatusOK, respBody)
+		s.since(req.start).Round(time.Millisecond))
+	return body, nil
+}
+
+// screenIdentity screens a chip for enrollment or a challenge and
+// returns its report with the identity it claims. Only a chip that
+// verifies GENUINE has an identity worth acting on: any other verdict
+// is counted and refused with 422, the message naming the refused
+// action.
+func (s *Server) screenIdentity(ctx context.Context, raw []byte, action string) (rep ChipReport, k registry.Key, fp registry.Fingerprint, err error) {
+	var verdict counterfeit.Verdict
+	if _, rep, verdict, _, err = s.screenCached(ctx, chipKey(raw), raw); err != nil {
+		return rep, k, fp, err
+	}
+	k, fp, ok := chipIdentity(&rep)
+	if !ok {
+		s.countChip(verdict)
+		err = &httpError{http.StatusUnprocessableEntity,
+			"only chips that verify GENUINE can be " + action + "; this chip screened " + rep.Verdict}
+	}
+	return rep, k, fp, err
 }
 
 // verdictFromEnroll maps an enrollment outcome onto the verdict

@@ -187,7 +187,7 @@ func TestDurableRestartDetection(t *testing.T) {
 // identical bytes, and byte-identical responses across repeated posts.
 func TestBatchProvenanceDeterministic(t *testing.T) {
 	store := registry.NewMemory(0)
-	_, ts := newTestServer(t, Config{Provenance: store, BatchWorkers: 4})
+	_, ts := newTestServer(t, Config{Provenance: store, Workers: 4})
 	chipA := chipBytes(t, counterfeit.ClassGenuineAccept, 0xA1, 4004) // victim
 	cloneA := chipBytes(t, counterfeit.ClassGenuineAccept, 0xD2, 4004)
 	chipB := chipBytes(t, counterfeit.ClassGenuineAccept, 0xA3, 4005) // clean

@@ -60,9 +60,6 @@ type Config struct {
 	// CacheEntries bounds the chip-registry LRU (0 selects 4096;
 	// negative disables caching).
 	CacheEntries int
-	// BatchWorkers bounds the per-batch fan-out on the parallel engine
-	// (0 selects Workers).
-	BatchWorkers int
 
 	// Decorate, when set, wraps every loaded device before verification
 	// — the chaos/testing seam for fault injectors and recorders.
@@ -89,9 +86,6 @@ type Config struct {
 	// honest-hardware regime, where only observable physics (the
 	// challenge-response axis) separates a clone from its victim.
 	OmitDeviceFingerprint bool
-
-	// Registry receives the service metrics (nil creates a private one).
-	Registry *metrics.Registry
 
 	// Now supplies wall time for latency accounting and enrollment
 	// timestamps (nil selects wallclock.Now). Injecting a fake makes
@@ -124,12 +118,6 @@ func (c Config) withDefaults() Config {
 		c.CacheEntries = 4096
 	case c.CacheEntries < 0:
 		c.CacheEntries = 0
-	}
-	if c.BatchWorkers <= 0 {
-		c.BatchWorkers = c.Workers
-	}
-	if c.Registry == nil {
-		c.Registry = metrics.NewRegistry()
 	}
 	if c.Now == nil {
 		c.Now = wallclock.Now
@@ -200,6 +188,7 @@ func newServiceMetrics(reg *metrics.Registry, g *gate, cache *verdictCache) *ser
 // Handler, stop with Drain.
 type Server struct {
 	cfg      Config
+	reg      *metrics.Registry
 	gate     *gate
 	cache    *verdictCache
 	met      *serviceMetrics
@@ -225,28 +214,40 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
+		reg:      metrics.NewRegistry(),
 		gate:     newGate(cfg.Workers, cfg.QueueDepth),
 		cache:    newVerdictCache(cfg.CacheEntries),
 		draining: make(chan struct{}),
 	}
-	s.met = newServiceMetrics(cfg.Registry, s.gate, s.cache)
+	s.met = newServiceMetrics(s.reg, s.gate, s.cache)
 	if cfg.Provenance != nil {
-		registerRegistryGauges(cfg.Registry, cfg.Provenance)
+		registerRegistryGauges(s.reg, cfg.Provenance)
+	}
+	const chipFile = "a chip file body"
+	enrollEP := endpoint{accepts: chipFile, work: "verification", serve: s.serveEnroll}
+	if cfg.Provenance == nil {
+		enrollEP.off = "no fleet registry configured (start fmverifyd with -registry-dir)"
+	}
+	challengeEP := endpoint{accepts: chipFile, work: "verification", serve: s.serveChallenge}
+	if cfg.Challenge == nil {
+		challengeEP.off = "no challenge-response plane configured (start fmverifyd with -challenge)"
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/verify", s.handleVerify)
-	s.mux.HandleFunc("/v1/verify/batch", s.handleVerifyBatch)
-	s.mux.HandleFunc("/v1/enroll", s.handleEnroll)
-	s.mux.HandleFunc("/v1/challenge", s.handleChallenge)
+	s.mux.Handle("/v1/verify", s.post(endpoint{
+		accepts: chipFile, work: "verification", pre: s.verifyHit, serve: s.serveVerify}))
+	s.mux.Handle("/v1/verify/batch", s.post(endpoint{
+		accepts: "a JSON batch body", work: "batch verification", pre: decodeBatch, serve: s.serveBatch}))
+	s.mux.Handle("/v1/enroll", s.post(enrollEP))
+	s.mux.Handle("/v1/challenge", s.post(challengeEP))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.Handle("/metrics", cfg.Registry.Handler())
-	s.mux.Handle("/debug/vars", cfg.Registry.VarsHandler())
+	s.mux.Handle("/metrics", s.reg.Handler())
+	s.mux.Handle("/debug/vars", s.reg.VarsHandler())
 	return s, nil
 }
 
 // Registry returns the metrics registry the server reports into.
-func (s *Server) Registry() *metrics.Registry { return s.cfg.Registry }
+func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Stats is a point-in-time view of the server's admission and drain
 // state. It exists for tests and the load harness, which need to assert
@@ -279,10 +280,7 @@ func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if rec := recover(); rec != nil {
-				s.met.panics.Inc()
-				s.logf("panic serving %s %s: %v", r.Method, r.URL.Path, rec)
-				// Best effort: if the handler already wrote, this is a no-op.
-				writeError(w, http.StatusInternalServerError, "internal error")
+				s.panicked(w, r, rec)
 			}
 		}()
 		s.mux.ServeHTTP(w, r)

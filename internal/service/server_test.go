@@ -400,7 +400,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // indexed by input order, per-chip failures embedded, and two identical
 // requests byte-identical even across worker schedules.
 func TestBatchDeterministicAndSummarized(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWorkers: 4, CacheEntries: -1})
+	_, ts := newTestServer(t, Config{Workers: 4, CacheEntries: -1})
 	genuine := chipBytes(t, counterfeit.ClassGenuineAccept, 0x1A, 1601)
 	reject := chipBytes(t, counterfeit.ClassGenuineReject, 0x1B, 1602)
 	unmarked := chipBytes(t, counterfeit.ClassUnmarked, 0x1C, 1603)
