@@ -427,140 +427,96 @@ func (w *world) execClone(cl *CloneStep) (json.RawMessage, error) {
 	})
 }
 
-// post uploads a chip file and returns the response.
-func (w *world) post(path string, body []byte) (int, []byte, error) {
+// roundTrip POSTs the chip file to a daemon endpoint, decodes the 200
+// answer into rep, runs the verb's expectation check on it, and records
+// the answer verbatim.
+func (w *world) roundTrip(verb Verb, chip, path string, rep any, check func() error) (json.RawMessage, error) {
+	c, err := w.chip(chip)
+	if err != nil {
+		return nil, err
+	}
+	body, err := c.chipBytes()
+	if err != nil {
+		return nil, err
+	}
 	resp, err := w.ts.Client().Post(w.ts.URL+path, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, fmt.Errorf("POST %s: %w", path, err)
+		return nil, fmt.Errorf("POST %s: %w", path, err)
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return 0, nil, fmt.Errorf("POST %s: reading response: %w", path, err)
+		return nil, fmt.Errorf("POST %s: reading response: %w", path, err)
 	}
-	return resp.StatusCode, out, nil
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s %q: HTTP %d: %s", verb, chip, resp.StatusCode, strings.TrimSpace(string(out)))
+	}
+	if err := json.Unmarshal(out, rep); err != nil {
+		return nil, fmt.Errorf("%s %q: decoding report: %w", verb, chip, err)
+	}
+	if err := check(); err != nil {
+		return nil, fmt.Errorf("%s %q: %w", verb, chip, err)
+	}
+	raw, err := compactJSON(out)
+	if err != nil {
+		return nil, err
+	}
+	return marshalResult(httpResult{Chip: chip, Status: resp.StatusCode, Report: raw})
 }
 
 func (w *world) execVerify(v *VerifyStep) (json.RawMessage, error) {
-	c, err := w.chip(v.Chip)
-	if err != nil {
-		return nil, err
-	}
-	body, err := c.chipBytes()
-	if err != nil {
-		return nil, err
-	}
-	status, respBody, err := w.post("/v1/verify", body)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("verify %q: HTTP %d: %s", v.Chip, status, strings.TrimSpace(string(respBody)))
-	}
 	var rep service.ChipReport
-	if err := json.Unmarshal(respBody, &rep); err != nil {
-		return nil, fmt.Errorf("verify %q: decoding report: %w", v.Chip, err)
-	}
-	if x := v.Expect; x != nil {
-		if x.Verdict != "" && rep.Verdict != x.Verdict {
-			return nil, fmt.Errorf("verify %q: verdict %s, want %s", v.Chip, rep.Verdict, x.Verdict)
+	return w.roundTrip(VerbVerify, v.Chip, "/v1/verify", &rep, func() error {
+		x := v.Expect
+		switch {
+		case x == nil:
+		case x.Verdict != "" && rep.Verdict != x.Verdict:
+			return fmt.Errorf("verdict %s, want %s", rep.Verdict, x.Verdict)
+		case x.Accepted != nil && rep.Accepted != *x.Accepted:
+			return fmt.Errorf("accepted=%v, want %v", rep.Accepted, *x.Accepted)
+		case x.Escalated != nil && (rep.Provenance != "") != *x.Escalated:
+			return fmt.Errorf("escalated=%v (provenance %q), want %v", rep.Provenance != "", rep.Provenance, *x.Escalated)
+		case x.Fault != nil && (rep.Fault != "") != *x.Fault:
+			return fmt.Errorf("fault=%v (%q), want %v", rep.Fault != "", rep.Fault, *x.Fault)
 		}
-		if x.Accepted != nil && rep.Accepted != *x.Accepted {
-			return nil, fmt.Errorf("verify %q: accepted=%v, want %v", v.Chip, rep.Accepted, *x.Accepted)
-		}
-		if x.Escalated != nil && (rep.Provenance != "") != *x.Escalated {
-			return nil, fmt.Errorf("verify %q: escalated=%v (provenance %q), want %v",
-				v.Chip, rep.Provenance != "", rep.Provenance, *x.Escalated)
-		}
-		if x.Fault != nil && (rep.Fault != "") != *x.Fault {
-			return nil, fmt.Errorf("verify %q: fault=%v (%q), want %v",
-				v.Chip, rep.Fault != "", rep.Fault, *x.Fault)
-		}
-	}
-	raw, err := compactJSON(respBody)
-	if err != nil {
-		return nil, err
-	}
-	return marshalResult(httpResult{Chip: v.Chip, Status: status, Report: raw})
+		return nil
+	})
 }
 
 func (w *world) execEnroll(e *EnrollStep) (json.RawMessage, error) {
-	c, err := w.chip(e.Chip)
-	if err != nil {
-		return nil, err
-	}
-	body, err := c.chipBytes()
-	if err != nil {
-		return nil, err
-	}
-	status, respBody, err := w.post("/v1/enroll", body)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("enroll %q: HTTP %d: %s", e.Chip, status, strings.TrimSpace(string(respBody)))
-	}
 	var rep service.EnrollReport
-	if err := json.Unmarshal(respBody, &rep); err != nil {
-		return nil, fmt.Errorf("enroll %q: decoding report: %w", e.Chip, err)
-	}
-	if x := e.Expect; x != nil {
-		if x.Verdict != "" && rep.Verdict != x.Verdict {
-			return nil, fmt.Errorf("enroll %q: verdict %s, want %s", e.Chip, rep.Verdict, x.Verdict)
+	return w.roundTrip(VerbEnroll, e.Chip, "/v1/enroll", &rep, func() error {
+		x := e.Expect
+		switch {
+		case x == nil:
+		case x.Verdict != "" && rep.Verdict != x.Verdict:
+			return fmt.Errorf("verdict %s, want %s", rep.Verdict, x.Verdict)
+		case x.Duplicate != nil && rep.Duplicate != *x.Duplicate:
+			return fmt.Errorf("duplicate=%v, want %v", rep.Duplicate, *x.Duplicate)
+		case x.Conflict != nil && rep.Conflict != *x.Conflict:
+			return fmt.Errorf("conflict=%v, want %v", rep.Conflict, *x.Conflict)
+		case x.Count != nil && rep.Count != *x.Count:
+			return fmt.Errorf("count=%d, want %d", rep.Count, *x.Count)
 		}
-		if x.Duplicate != nil && rep.Duplicate != *x.Duplicate {
-			return nil, fmt.Errorf("enroll %q: duplicate=%v, want %v", e.Chip, rep.Duplicate, *x.Duplicate)
-		}
-		if x.Conflict != nil && rep.Conflict != *x.Conflict {
-			return nil, fmt.Errorf("enroll %q: conflict=%v, want %v", e.Chip, rep.Conflict, *x.Conflict)
-		}
-		if x.Count != nil && rep.Count != *x.Count {
-			return nil, fmt.Errorf("enroll %q: count=%d, want %d", e.Chip, rep.Count, *x.Count)
-		}
-	}
-	raw, err := compactJSON(respBody)
-	if err != nil {
-		return nil, err
-	}
-	return marshalResult(httpResult{Chip: e.Chip, Status: status, Report: raw})
+		return nil
+	})
 }
 
 func (w *world) execChallenge(ch *ChallengeStep) (json.RawMessage, error) {
-	c, err := w.chip(ch.Chip)
-	if err != nil {
-		return nil, err
-	}
-	body, err := c.chipBytes()
-	if err != nil {
-		return nil, err
-	}
-	status, respBody, err := w.post("/v1/challenge", body)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("challenge %q: HTTP %d: %s", ch.Chip, status, strings.TrimSpace(string(respBody)))
-	}
 	var rep service.ChallengeReport
-	if err := json.Unmarshal(respBody, &rep); err != nil {
-		return nil, fmt.Errorf("challenge %q: decoding report: %w", ch.Chip, err)
-	}
-	if x := ch.Expect; x != nil {
-		if x.Verdict != "" && rep.Verdict != x.Verdict {
-			return nil, fmt.Errorf("challenge %q: verdict %s, want %s", ch.Chip, rep.Verdict, x.Verdict)
+	return w.roundTrip(VerbChallenge, ch.Chip, "/v1/challenge", &rep, func() error {
+		x := ch.Expect
+		switch {
+		case x == nil:
+		case x.Verdict != "" && rep.Verdict != x.Verdict:
+			return fmt.Errorf("verdict %s, want %s", rep.Verdict, x.Verdict)
+		case x.Enrolled != nil && rep.Enrolled != *x.Enrolled:
+			return fmt.Errorf("enrolled=%v, want %v", rep.Enrolled, *x.Enrolled)
+		case x.Match != nil && rep.Match != *x.Match:
+			return fmt.Errorf("match=%v, want %v", rep.Match, *x.Match)
 		}
-		if x.Enrolled != nil && rep.Enrolled != *x.Enrolled {
-			return nil, fmt.Errorf("challenge %q: enrolled=%v, want %v", ch.Chip, rep.Enrolled, *x.Enrolled)
-		}
-		if x.Match != nil && rep.Match != *x.Match {
-			return nil, fmt.Errorf("challenge %q: match=%v, want %v", ch.Chip, rep.Match, *x.Match)
-		}
-	}
-	raw, err := compactJSON(respBody)
-	if err != nil {
-		return nil, err
-	}
-	return marshalResult(httpResult{Chip: ch.Chip, Status: status, Report: raw})
+		return nil
+	})
 }
 
 func (w *world) execRestart() (json.RawMessage, error) {

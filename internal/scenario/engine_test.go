@@ -271,6 +271,26 @@ func TestRunExpectationFailures(t *testing.T) {
 			durable("  - at: 1h\n    name: bad-keys\n    expect:\n      registry: {keys: 42}\n"),
 			"bad-keys",
 		},
+		"verify accepted": {
+			durable("  - at: 1h\n    name: bad-accepted\n    verify: {chip: c, expect: {accepted: false}}\n"),
+			"bad-accepted",
+		},
+		"enroll verdict": {
+			durable("  - at: 1h\n    name: bad-enroll-verdict\n    enroll: {chip: c, expect: {verdict: DUPLICATE-ID}}\n"),
+			"bad-enroll-verdict",
+		},
+		"enroll duplicate": {
+			durable("  - at: 1h\n    name: bad-duplicate\n    enroll: {chip: c, expect: {duplicate: true}}\n"),
+			"bad-duplicate",
+		},
+		"registry conflicts": {
+			durable("  - at: 1h\n    name: bad-conflicts\n    expect:\n      registry: {conflicts: 5}\n"),
+			"bad-conflicts",
+		},
+		"registry enrollments": {
+			durable("  - at: 1h\n    name: bad-enrollments\n    expect:\n      registry: {enrollments: 9}\n"),
+			"bad-enrollments",
+		},
 	}
 	for label, tc := range cases {
 		t.Run(label, func(t *testing.T) {

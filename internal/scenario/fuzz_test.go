@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +12,8 @@ import (
 // that violates the validated invariants, and rejects hostile shapes
 // (oversized documents, deep nesting, step floods) with an error. The
 // committed seeds in testdata/fuzz/FuzzScenarioParse pin the known
-// hostile shapes; go's fuzzer mutates from there.
+// hostile shapes, and every-key starts the fuzzer inside every verb,
+// config and fault; go's fuzzer mutates from there.
 func FuzzScenarioParse(f *testing.F) {
 	f.Add([]byte("name: ok\nsteps:\n  - at: 0s\n    name: a\n    fabricate: {chip: c, class: unmarked}\n"))
 	f.Add([]byte("name: out-of-order\nsteps:\n  - at: 2h\n    name: a\n    fabricate: {chip: c, class: unmarked}\n  - at: 1h\n    name: b\n    verify: {chip: c}\n"))
@@ -52,6 +54,23 @@ func FuzzScenarioParse(f *testing.F) {
 			}
 			if st.Verb == "" {
 				t.Fatalf("accepted step %q with no verb", st.Name)
+			}
+			// Exactly the payload field its Verb names is set; the
+			// pointer fields of Step are the payloads, tagged by verb.
+			v := reflect.ValueOf(st).Elem()
+			set := 0
+			for j := 0; j < v.NumField(); j++ {
+				field := v.Type().Field(j)
+				if field.Type.Kind() != reflect.Pointer || v.Field(j).IsNil() {
+					continue
+				}
+				set++
+				if key, _, _ := strings.Cut(field.Tag.Get("yaml"), ","); key != string(st.Verb) {
+					t.Fatalf("step %q (verb %s) sets payload %s", st.Name, st.Verb, key)
+				}
+			}
+			if set != 1 {
+				t.Fatalf("step %q (verb %s) sets %d payloads", st.Name, st.Verb, set)
 			}
 		}
 	})

@@ -1,6 +1,11 @@
 package scenario
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -116,53 +121,59 @@ func TestParseRejections(t *testing.T) {
 	}
 }
 
-// TestParseTypeErrors sweeps wrongly-typed values through every
-// decoder: each document must be rejected (the reason substring is the
-// decoders' business; here only the rejection itself is pinned).
+// TestParseTypeErrors sweeps wrongly-typed values through every part
+// of the schema. Each document is well-formed except for its one
+// defect, and the reason substring pins that the defect, not some
+// other fault, rejected it.
 func TestParseTypeErrors(t *testing.T) {
-	step := func(body string) string {
-		return "name: x\nsteps:\n  - at: 0s\n    name: a\n" + body
-	}
 	fab := "  - at: 0s\n    name: f\n    fabricate: {chip: c, class: unmarked}\n"
-	cases := map[string]string{
-		"name not scalar":     "name: [a]\nsteps: []\n",
-		"seed not number":     "name: x\nseed: pretty\nsteps: []\n",
-		"seed not scalar":     "name: x\nseed: [1]\nsteps: []\n",
-		"shards not number":   "name: x\nregistry: cluster\nshards: many\nsteps: []\n",
-		"steps not sequence":  "name: x\nsteps: {a: 1}\n",
-		"step not mapping":    "name: x\nsteps:\n  - 5\n",
-		"config not mapping":  "name: x\nconfig: 5\nsteps: []\n",
-		"config key typed":    "name: x\nconfig: {key: [1]}\nsteps: []\n",
-		"config npe bad":      "name: x\nconfig: {npe: soft}\nsteps: []\n",
-		"recycling not bool":  "name: x\nconfig: {recycling-screen: sure}\nsteps: []\n",
-		"fault not mapping":   "name: x\nconfig: {fault: 7}\nsteps: []\n",
-		"fault prob string":   "name: x\nconfig: {fault: {erase-timeout: likely}}\nsteps: []\n",
-		"at not duration":     "name: x\nsteps:\n  - at: noon\n    name: a\n" + "    fabricate: {chip: c, class: unmarked}\n",
-		"at not scalar":       "name: x\nsteps:\n  - at: [0s]\n    name: a\n",
-		"fab die bad hex":     step("    fabricate: {chip: c, class: unmarked, die: 0xZZ}\n"),
-		"fab seed bad":        step("    fabricate: {chip: c, class: unmarked, seed: lucky}\n"),
-		"fab not mapping":     step("    fabricate: 5\n"),
-		"fab unknown key":     step("    fabricate: {chip: c, class: unmarked, color: red}\n"),
-		"imprint die missing": step(fab + "  - at: 0s\n    name: b\n    imprint: {chip: c}\n"),
-		"age years string":    step(fab + "  - at: 0s\n    name: b\n    age: {chip: c, years: old}\n"),
-		"age years negative":  step(fab + "  - at: 0s\n    name: b\n    age: {chip: c, years: -1}\n"),
-		"stress cycles typed": step(fab + "  - at: 0s\n    name: b\n    stress: {chip: c, cycles: many}\n"),
-		"stress negative":     step(fab + "  - at: 0s\n    name: b\n    stress: {chip: c, cycles: -4}\n"),
-		"clone seed typed":    step(fab + "  - at: 0s\n    name: b\n    clone: {chip: d, of: c, seed: [1]}\n"),
-		"clone self":          step(fab + "  - at: 0s\n    name: b\n    clone: {chip: c, of: c}\n"),
-		"verify accepted":     step(fab + "  - at: 0s\n    name: b\n    verify: {chip: c, expect: {accepted: maybe}}\n"),
-		"verify expect typed": step(fab + "  - at: 0s\n    name: b\n    verify: {chip: c, expect: 5}\n"),
-		"enroll count typed":  "name: x\nregistry: durable\nsteps:\n" + fab + "  - at: 0s\n    name: b\n    enroll: {chip: c, expect: {count: few}}\n",
-		"enroll dup typed":    "name: x\nregistry: durable\nsteps:\n" + fab + "  - at: 0s\n    name: b\n    enroll: {chip: c, expect: {duplicate: 3}}\n",
-		"metrics not mapping": step("    expect:\n      metrics: [a]\n"),
-		"metric value typed":  step("    expect:\n      metrics:\n        m: lots\n"),
-		"registry keys typed": step("    expect:\n      registry: {keys: some}\n"),
-		"registry not map":    step("    expect:\n      registry: 9\n"),
+	// doc wraps top-level keys around a one-step fabricate timeline.
+	doc := func(header string) string { return header + "steps:\n" + fab }
+	// then appends step b, whose body follows the fabrication of chip c.
+	then := func(header, body string) string { return doc(header) + "  - at: 0s\n    name: b\n" + body }
+	cases := map[string]struct{ doc, want string }{
+		"name not scalar":     {doc("name: [a]\n"), "name must be a scalar"},
+		"seed not number":     {doc("name: x\nseed: pretty\n"), `seed: bad integer "pretty"`},
+		"seed not scalar":     {doc("name: x\nseed: [1]\n"), "seed must be a scalar"},
+		"shards not number":   {doc("name: x\nregistry: cluster\nshards: many\n"), `shards: bad integer "many"`},
+		"steps not sequence":  {"name: x\nsteps: {a: 1}\n", "steps must be a sequence"},
+		"step not mapping":    {doc("name: x\n") + "  - [5]\n", "step must be a mapping"},
+		"config not mapping":  {doc("name: x\nconfig: 5\n"), "config must be a mapping"},
+		"config key typed":    {doc("name: x\nconfig: {key: [1]}\n"), "key must be a scalar"},
+		"config npe bad":      {doc("name: x\nconfig: {npe: soft}\n"), `npe: bad integer "soft"`},
+		"recycling not bool":  {doc("name: x\nconfig: {recycling-screen: sure}\n"), `recycling-screen: bad bool "sure"`},
+		"fault not mapping":   {doc("name: x\nconfig: {fault: 7}\n"), "fault must be a mapping"},
+		"fault prob string":   {doc("name: x\nconfig: {fault: {erase-timeout: likely}}\n"), `fault.erase-timeout: bad number "likely"`},
+		"at not duration":     {"name: x\nsteps:\n  - at: noon\n    name: a\n    fabricate: {chip: c, class: unmarked}\n", `invalid duration "noon"`},
+		"at not scalar":       {"name: x\nsteps:\n  - at: [0s]\n    name: a\n    fabricate: {chip: c, class: unmarked}\n", "at must be a scalar"},
+		"fab die bad hex":     {then("name: x\n", "    fabricate: {chip: d, class: unmarked, die: 0xZZ}\n"), `fabricate.die: bad integer "0xZZ"`},
+		"fab seed bad":        {then("name: x\n", "    fabricate: {chip: d, class: unmarked, seed: lucky}\n"), `fabricate.seed: bad integer "lucky"`},
+		"fab not mapping":     {then("name: x\n", "    fabricate: 5\n"), "fabricate must be a mapping"},
+		"fab unknown key":     {then("name: x\n", "    fabricate: {chip: d, class: unmarked, color: red}\n"), `unknown fabricate key "color"`},
+		"imprint die typed":   {then("name: x\n", "    imprint: {chip: c, die: [1]}\n"), "imprint.die must be a scalar"},
+		"age years string":    {then("name: x\n", "    age: {chip: c, years: old}\n"), `age.years: bad number "old"`},
+		"age years negative":  {then("name: x\n", "    age: {chip: c, years: -1}\n"), "age years must be positive"},
+		"stress cycles typed": {then("name: x\n", "    stress: {chip: c, cycles: many}\n"), `stress.cycles: bad integer "many"`},
+		"stress negative":     {then("name: x\n", "    stress: {chip: c, cycles: -4}\n"), "must be non-negative"},
+		"clone seed typed":    {then("name: x\n", "    clone: {chip: d, of: c, seed: [1]}\n"), "clone.seed must be a scalar"},
+		"clone self":          {then("name: x\n", "    clone: {chip: c, of: c}\n"), `chip "c" already exists`},
+		"verify accepted":     {then("name: x\n", "    verify: {chip: c, expect: {accepted: maybe}}\n"), `verify.expect.accepted: bad bool "maybe"`},
+		"verify expect typed": {then("name: x\n", "    verify: {chip: c, expect: 5}\n"), "verify.expect must be a mapping"},
+		"enroll count typed":  {then("name: x\nregistry: durable\n", "    enroll: {chip: c, expect: {count: few}}\n"), `enroll.expect.count: bad integer "few"`},
+		"enroll dup typed":    {then("name: x\nregistry: durable\n", "    enroll: {chip: c, expect: {duplicate: 3}}\n"), `enroll.expect.duplicate: bad bool "3"`},
+		"metrics not mapping": {then("name: x\n", "    expect:\n      metrics: [a]\n"), "expect.metrics must be a mapping"},
+		"metric value typed":  {then("name: x\n", "    expect:\n      metrics:\n        m: lots\n"), `expect.metrics.m: bad integer "lots"`},
+		"registry keys typed": {then("name: x\nregistry: durable\n", "    expect:\n      registry: {keys: some}\n"), `expect.registry.keys: bad integer "some"`},
+		"registry not map":    {then("name: x\nregistry: durable\n", "    expect:\n      registry: 9\n"), "expect.registry must be a mapping"},
 	}
-	for label, doc := range cases {
+	for label, tc := range cases {
 		t.Run(label, func(t *testing.T) {
-			if _, err := Parse([]byte(doc)); err == nil {
-				t.Fatalf("accepted %q", doc)
+			_, err := Parse([]byte(tc.doc))
+			if err == nil {
+				t.Fatalf("accepted %q", tc.doc)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("rejected for the wrong reason: %v (want substring %q)", err, tc.want)
 			}
 		})
 	}
@@ -201,5 +212,137 @@ func TestParseChipCap(t *testing.T) {
 	}
 	if _, err := Parse([]byte(b.String())); err == nil {
 		t.Fatalf("accepted %d chips (cap %d)", MaxChips+1, MaxChips)
+	}
+}
+
+// everyKeyDoc sets every key of every verb, of config and of fault to a
+// value other than its default, in block and flow forms. It is also the
+// committed FuzzScenarioParse seed every-key, so the fuzzer starts
+// inside all ten verbs.
+const everyKeyDoc = `name: every-key
+seed: 0x5EED
+registry: durable
+shards: 3
+config:
+  backend: reram
+  part: MSP430F5529
+  key: every-key-hmac
+  manufacturer: XY
+  npe: 7
+  recycling-screen: false
+  challenge: true
+  oracle-fingerprint: false
+  fault: {seed: 0xF417, erase-timeout: 0.25, read-bit-flip: 0.125, program-error: 0.5}
+steps:
+  - at: 0s
+    name: fab
+    fabricate: {chip: victim, class: genuine-reject, die: 0xD1E, seed: 0xC41}
+  - at: 1m
+    name: diesort
+    imprint: {chip: victim, die: 0xD1F, status: reject}
+  - at: 1h
+    name: shelf
+    age: {chip: victim, years: 2.5}
+  - at: 2h
+    name: wear
+    stress: {chip: victim, cycles: 5000, segments: 4}
+  - at: 3h
+    name: copy
+    clone: {chip: fake, of: victim, seed: 0xC42}
+  - at: 4h
+    name: enroll
+    enroll:
+      chip: victim
+      expect: {verdict: GENUINE, duplicate: true, conflict: true, count: 2}
+  - at: 5h
+    name: inspect
+    verify:
+      chip: fake
+      expect: {verdict: DUPLICATE-ID, accepted: false, escalated: true, fault: true}
+  - at: 6h
+    name: probe
+    challenge:
+      chip: fake
+      expect: {verdict: DUPLICATE-ID, enrolled: true, match: false}
+  - at: 7h
+    name: bounce
+    restart-registry: {}
+  - at: 8h
+    name: audit
+    expect:
+      metrics:
+        fmverifyd_chips_total: 1
+        fmverifyd_errors_total: 0
+      registry: {keys: 1, conflicts: 2, enrollments: 3}
+`
+
+func ptr[T any](v T) *T { return &v }
+
+// TestParseEveryKey is the decoder's equivalence contract: every key
+// the schema has, decoded into the value it names.
+func TestParseEveryKey(t *testing.T) {
+	sc, err := Parse([]byte(everyKeyDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Scenario{
+		Name:     "every-key",
+		Seed:     0x5EED,
+		Registry: RegistryDurable,
+		Shards:   3,
+		Config: WorldConfig{
+			Backend:           "reram",
+			Part:              "MSP430F5529",
+			Key:               "every-key-hmac",
+			Manufacturer:      "XY",
+			NPE:               7,
+			RecyclingScreen:   false,
+			Challenge:         true,
+			OracleFingerprint: false,
+			Fault:             &FaultSpec{Seed: 0xF417, EraseTimeout: 0.25, ReadBitFlip: 0.125, ProgramError: 0.5},
+		},
+		Steps: []Step{
+			{At: 0, Name: "fab", Verb: VerbFabricate,
+				Fabricate: &FabricateStep{Chip: "victim", Class: "genuine-reject", Die: 0xD1E, Seed: ptr[uint64](0xC41)}},
+			{At: time.Minute, Name: "diesort", Verb: VerbImprint,
+				Imprint: &ImprintStep{Chip: "victim", Die: 0xD1F, Status: "reject"}},
+			{At: time.Hour, Name: "shelf", Verb: VerbAge,
+				Age: &AgeStep{Chip: "victim", Years: 2.5}},
+			{At: 2 * time.Hour, Name: "wear", Verb: VerbStress,
+				Stress: &StressStep{Chip: "victim", Cycles: 5000, Segments: 4}},
+			{At: 3 * time.Hour, Name: "copy", Verb: VerbClone,
+				Clone: &CloneStep{Chip: "fake", Of: "victim", Seed: ptr[uint64](0xC42)}},
+			{At: 4 * time.Hour, Name: "enroll", Verb: VerbEnroll,
+				Enroll: &EnrollStep{Chip: "victim", Expect: &EnrollExpect{
+					Verdict: "GENUINE", Duplicate: ptr(true), Conflict: ptr(true), Count: ptr(2)}}},
+			{At: 5 * time.Hour, Name: "inspect", Verb: VerbVerify,
+				Verify: &VerifyStep{Chip: "fake", Expect: &VerifyExpect{
+					Verdict: "DUPLICATE-ID", Accepted: ptr(false), Escalated: ptr(true), Fault: ptr(true)}}},
+			{At: 6 * time.Hour, Name: "probe", Verb: VerbChallenge,
+				Challenge: &ChallengeStep{Chip: "fake", Expect: &ChallengeExpect{
+					Verdict: "DUPLICATE-ID", Enrolled: ptr(true), Match: ptr(false)}}},
+			{At: 7 * time.Hour, Name: "bounce", Verb: VerbRestartRegistry,
+				RestartRegistry: &RestartStep{}},
+			{At: 8 * time.Hour, Name: "audit", Verb: VerbExpect,
+				Expect: &ExpectStep{
+					Metrics:  map[string]int64{"fmverifyd_chips_total": 1, "fmverifyd_errors_total": 0},
+					Registry: &RegistryExpect{Keys: ptr[int64](1), Conflicts: ptr[int64](2), Enrollments: ptr[int64](3)}}},
+		},
+	}
+	if !reflect.DeepEqual(sc, want) {
+		got, _ := json.MarshalIndent(sc, "", "  ")
+		exp, _ := json.MarshalIndent(want, "", "  ")
+		t.Fatalf("every-key document decoded as\n%s\nwant\n%s", got, exp)
+	}
+
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzScenarioParse", "every-key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(string(seed), "go test fuzz v1\n[]byte(")
+	lit, ok2 := strings.CutSuffix(lit, ")\n")
+	doc, err := strconv.Unquote(lit)
+	if !ok || !ok2 || err != nil || doc != everyKeyDoc {
+		t.Fatal("fuzz seed every-key is not everyKeyDoc")
 	}
 }

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"regexp"
 	"sort"
 	"time"
@@ -53,62 +55,77 @@ const (
 	VerbExpect          Verb = "expect"
 )
 
-// Scenario is one parsed, validated scenario document.
+// Scenario is one parsed, validated scenario document. The yaml tags
+// on it and on every type it reaches are the DSL's schema (decode.go).
 type Scenario struct {
 	// Name identifies the scenario; transcripts and golden files carry it.
-	Name string
+	Name string `yaml:"name,required"`
 	// Seed is the scenario master seed: every derived chip seed and
 	// fault stream splits from it, so a scenario is a pure function of
 	// its document.
-	Seed uint64
+	Seed uint64 `yaml:"seed"`
 	// Registry selects the provenance plane (default none).
-	Registry RegistryMode
+	Registry RegistryMode `yaml:"registry"`
 	// Shards is the cluster shard count (cluster mode only; default 2).
-	Shards int
+	Shards int `yaml:"shards"`
 	// Config tunes the world the steps run in.
-	Config WorldConfig
+	Config WorldConfig `yaml:"config"`
 	// Steps execute in order; At offsets are non-decreasing.
-	Steps []Step
+	Steps []Step `yaml:"steps,required"`
+}
+
+// defaults fills everything a document may leave out.
+func (sc *Scenario) defaults() {
+	sc.Registry = RegistryNone
+	sc.Shards = 2
+	sc.Config = WorldConfig{
+		Backend:           "nor",
+		Part:              "FM-SIM16",
+		Key:               "scenario-key",
+		Manufacturer:      "TC",
+		RecyclingScreen:   true,
+		OracleFingerprint: true,
+	}
 }
 
 // WorldConfig shapes the fabrication factory and the in-process
 // verification daemon.
 type WorldConfig struct {
 	// Backend selects the substrate: "nor" (default), "nand" or "reram".
-	Backend string
+	Backend string `yaml:"backend"`
 	// Part is the catalog NOR part (default FM-SIM16; NOR backend only).
-	Part string
+	Part string `yaml:"part"`
 	// Key is the watermark HMAC key (default "scenario-key").
-	Key string
+	Key string `yaml:"key"`
 	// Manufacturer is the imprinted manufacturer string (default "TC").
-	Manufacturer string
+	Manufacturer string `yaml:"manufacturer"`
 	// NPE is the imprint stress count (0 selects the factory default).
-	NPE int
+	NPE int `yaml:"npe"`
 	// RecyclingScreen enables the data-segment wear screen (default true).
-	RecyclingScreen bool
+	RecyclingScreen bool `yaml:"recycling-screen"`
 	// Challenge enables the daemon's challenge-response plane (the
 	// /v1/challenge endpoint and enroll-time response fingerprinting).
 	// Requires a registry. The challenge nonce derives from the scenario
 	// seed, so interrogations are pure functions of the document.
-	Challenge bool
+	Challenge bool `yaml:"challenge"`
 	// OracleFingerprint controls whether enrollment records the
 	// simulator's oracle device fingerprint (default true). Setting it
 	// false models the honest-hardware regime where no such oracle
 	// exists — then only the challenge axis separates a replay clone
 	// from its victim.
-	OracleFingerprint bool
+	OracleFingerprint bool `yaml:"oracle-fingerprint"`
 	// Fault, when set, wraps every device the daemon loads in a seeded
 	// fault injector — the misbehaving-silicon lane.
-	Fault *FaultSpec
+	Fault *FaultSpec `yaml:"fault"`
 }
 
 // FaultSpec is the scenario-level device fault injection policy,
 // mirroring device.FaultConfig.
 type FaultSpec struct {
-	Seed         uint64
-	EraseTimeout float64
-	ReadBitFlip  float64
-	ProgramError float64
+	Seed         uint64  `yaml:"seed"`
+	EraseTimeout float64 `yaml:"erase-timeout"`
+	ReadBitFlip  float64 `yaml:"read-bit-flip"`
+	ProgramError float64 `yaml:"program-error"`
 }
 
 // Step is one timed action.
@@ -116,122 +133,155 @@ type Step struct {
 	// At is the step's offset on the scenario timeline. The engine
 	// advances the virtual clock to exactly this instant before
 	// executing the step.
-	At time.Duration
+	At time.Duration `yaml:"at,required"`
 	// Name uniquely identifies the step within the scenario.
-	Name string
-	// Verb says which of the payload fields below is set.
+	Name string `yaml:"name,required"`
+	// Verb says which of the payload fields below is set. No key sets
+	// it: check derives it from the payloads.
 	Verb Verb
 
-	Fabricate       *FabricateStep
-	Imprint         *ImprintStep
-	Age             *AgeStep
-	Stress          *StressStep
-	Clone           *CloneStep
-	Enroll          *EnrollStep
-	Verify          *VerifyStep
-	Challenge       *ChallengeStep
-	RestartRegistry *RestartStep
-	Expect          *ExpectStep
+	Fabricate       *FabricateStep `yaml:"fabricate"`
+	Imprint         *ImprintStep   `yaml:"imprint"`
+	Age             *AgeStep       `yaml:"age"`
+	Stress          *StressStep    `yaml:"stress"`
+	Clone           *CloneStep     `yaml:"clone"`
+	Enroll          *EnrollStep    `yaml:"enroll"`
+	Verify          *VerifyStep    `yaml:"verify"`
+	Challenge       *ChallengeStep `yaml:"challenge"`
+	RestartRegistry *RestartStep   `yaml:"restart-registry"`
+	Expect          *ExpectStep    `yaml:"expect"`
+}
+
+// check holds a step to exactly one verb payload and sets Verb to it.
+func (st *Step) check() error {
+	payloads := []struct {
+		verb Verb
+		set  bool
+	}{
+		{VerbFabricate, st.Fabricate != nil},
+		{VerbImprint, st.Imprint != nil},
+		{VerbAge, st.Age != nil},
+		{VerbStress, st.Stress != nil},
+		{VerbClone, st.Clone != nil},
+		{VerbEnroll, st.Enroll != nil},
+		{VerbVerify, st.Verify != nil},
+		{VerbChallenge, st.Challenge != nil},
+		{VerbRestartRegistry, st.RestartRegistry != nil},
+		{VerbExpect, st.Expect != nil},
+	}
+	n := 0
+	for _, p := range payloads {
+		if p.set {
+			n++
+			st.Verb = p.verb
+		}
+	}
+	if n != 1 {
+		return fmt.Errorf("step %q must carry exactly one verb, has %d", st.Name, n)
+	}
+	return nil
 }
 
 // FabricateStep manufactures a chip of a ground-truth class.
 type FabricateStep struct {
 	// Chip names the new chip.
-	Chip string
+	Chip string `yaml:"chip,required"`
 	// Class is the counterfeit.ChipClass name (genuine-accept, recycled,
 	// replay-imprint, ...).
-	Class string
+	Class string `yaml:"class,required"`
 	// Die is the die id carried by genuine watermarks.
-	Die uint64
+	Die uint64 `yaml:"die"`
 	// Seed, when non-nil, pins the device seed; otherwise it derives
 	// from the scenario seed and the chip name.
-	Seed *uint64
+	Seed *uint64 `yaml:"seed"`
 }
 
 // ImprintStep runs the manufacturer die-sort imprint on an existing chip.
 type ImprintStep struct {
-	Chip string
-	Die  uint64
-	// Status is "accept" or "reject".
-	Status string
+	Chip string `yaml:"chip,required"`
+	Die  uint64 `yaml:"die"`
+	// Status is "accept" (default) or "reject".
+	Status string `yaml:"status"`
 }
+
+func (im *ImprintStep) defaults() { im.Status = "accept" }
 
 // AgeStep advances a chip's unpowered storage age (retention drift).
 type AgeStep struct {
-	Chip string
+	Chip string `yaml:"chip,required"`
 	// Years is the chip's new total storage age (monotone).
-	Years float64
+	Years float64 `yaml:"years,required"`
 }
 
 // StressStep applies first-life field wear to a chip's data segments.
 type StressStep struct {
-	Chip string
+	Chip string `yaml:"chip,required"`
 	// Cycles is the P/E count per worn segment (0 selects the factory
 	// default).
-	Cycles int
+	Cycles int `yaml:"cycles"`
 	// Segments is how many data segments wear out (0 selects the
 	// factory default).
-	Segments int
+	Segments int `yaml:"segments"`
 }
 
 // CloneStep fabricates a replay-imprint clone of an existing chip: a
 // fresh die carrying a bit-exact copy of the victim's watermark.
 type CloneStep struct {
 	// Chip names the new clone.
-	Chip string
+	Chip string `yaml:"chip,required"`
 	// Of names the victim whose die id the clone carries.
-	Of string
+	Of string `yaml:"of,required"`
 	// Seed optionally pins the clone's device seed.
-	Seed *uint64
+	Seed *uint64 `yaml:"seed"`
 }
 
 // EnrollStep POSTs the chip to /v1/enroll on the live daemon.
 type EnrollStep struct {
-	Chip   string
-	Expect *EnrollExpect
+	Chip   string        `yaml:"chip,required"`
+	Expect *EnrollExpect `yaml:"expect"`
 }
 
 // EnrollExpect asserts on the enroll report.
 type EnrollExpect struct {
-	Verdict   string
-	Duplicate *bool
-	Conflict  *bool
-	Count     *int
+	Verdict   string `yaml:"verdict"`
+	Duplicate *bool  `yaml:"duplicate"`
+	Conflict  *bool  `yaml:"conflict"`
+	Count     *int   `yaml:"count"`
 }
 
 // VerifyStep POSTs the chip to /v1/verify on the live daemon.
 type VerifyStep struct {
-	Chip   string
-	Expect *VerifyExpect
+	Chip   string        `yaml:"chip,required"`
+	Expect *VerifyExpect `yaml:"expect"`
 }
 
 // VerifyExpect asserts on the verify report.
 type VerifyExpect struct {
 	// Verdict is the expected verdict string ("GENUINE", "DUPLICATE-ID", ...).
-	Verdict string
+	Verdict string `yaml:"verdict"`
 	// Accepted asserts the accept/refuse decision.
-	Accepted *bool
+	Accepted *bool `yaml:"accepted"`
 	// Escalated asserts whether the fleet registry escalated the
 	// physics verdict (the report carries a provenance reason).
-	Escalated *bool
+	Escalated *bool `yaml:"escalated"`
 	// Fault asserts whether the report carries a device fault.
-	Fault *bool
+	Fault *bool `yaml:"fault"`
 }
 
 // ChallengeStep POSTs the chip to /v1/challenge on the live daemon.
 type ChallengeStep struct {
-	Chip   string
-	Expect *ChallengeExpect
+	Chip   string           `yaml:"chip,required"`
+	Expect *ChallengeExpect `yaml:"expect"`
 }
 
 // ChallengeExpect asserts on the challenge report.
 type ChallengeExpect struct {
 	// Verdict is the expected verdict string ("GENUINE", "DUPLICATE-ID").
-	Verdict string
+	Verdict string `yaml:"verdict"`
 	// Enrolled asserts whether a response fingerprint was on record.
-	Enrolled *bool
+	Enrolled *bool `yaml:"enrolled"`
 	// Match asserts whether the chip reproduced the enrolled response.
-	Match *bool
+	Match *bool `yaml:"match"`
 }
 
 // RestartStep closes the durable registry and reopens it from disk —
@@ -241,16 +291,24 @@ type RestartStep struct{}
 // ExpectStep asserts on daemon /metrics counters and registry stats.
 type ExpectStep struct {
 	// Metrics maps /metrics series names to required exact values.
-	Metrics map[string]int64
+	Metrics map[string]int64 `yaml:"metrics"`
 	// Registry asserts on the provenance store's Stats.
-	Registry *RegistryExpect
+	Registry *RegistryExpect `yaml:"registry"`
+}
+
+// check rejects an expect step that asserts nothing.
+func (e *ExpectStep) check() error {
+	if e.Metrics == nil && e.Registry == nil {
+		return errors.New("expect step asserts nothing")
+	}
+	return nil
 }
 
 // RegistryExpect asserts on registry.Stats fields.
 type RegistryExpect struct {
-	Keys        *int64
-	Conflicts   *int64
-	Enrollments *int64
+	Keys        *int64 `yaml:"keys"`
+	Conflicts   *int64 `yaml:"conflicts"`
+	Enrollments *int64 `yaml:"enrollments"`
 }
 
 var nameRe = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]*$`)
@@ -261,554 +319,14 @@ func Parse(data []byte) (*Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	sc, err := decodeScenario(root)
-	if err != nil {
+	var sc *Scenario
+	if err := decode(root, "", reflect.ValueOf(&sc).Elem()); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	if err := sc.validate(); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	return sc, nil
-}
-
-func decodeScenario(root *node) (*Scenario, error) {
-	if err := root.checkKeys("scenario", "name", "seed", "registry", "shards", "config", "steps"); err != nil {
-		return nil, err
-	}
-	sc := &Scenario{
-		Registry: RegistryNone,
-		Shards:   2,
-		Config: WorldConfig{
-			Backend:           "nor",
-			Part:              "FM-SIM16",
-			Key:               "scenario-key",
-			Manufacturer:      "TC",
-			RecyclingScreen:   true,
-			OracleFingerprint: true,
-		},
-	}
-	n := root.get("name")
-	if n == nil {
-		return nil, errAt(root.line, "scenario needs a name")
-	}
-	var err error
-	if sc.Name, err = n.asString("name"); err != nil {
-		return nil, err
-	}
-	if n := root.get("seed"); n != nil {
-		if sc.Seed, err = n.asUint64("seed"); err != nil {
-			return nil, err
-		}
-	}
-	if n := root.get("registry"); n != nil {
-		s, err := n.asString("registry")
-		if err != nil {
-			return nil, err
-		}
-		sc.Registry = RegistryMode(s)
-	}
-	if n := root.get("shards"); n != nil {
-		if sc.Shards, err = n.asInt("shards"); err != nil {
-			return nil, err
-		}
-	}
-	if n := root.get("config"); n != nil {
-		if err := decodeConfig(n, &sc.Config); err != nil {
-			return nil, err
-		}
-	}
-	stepsNode := root.get("steps")
-	if stepsNode == nil {
-		return nil, errAt(root.line, "scenario needs steps")
-	}
-	if err := stepsNode.expect(kindSequence, "steps"); err != nil {
-		return nil, err
-	}
-	if len(stepsNode.items) > MaxSteps {
-		return nil, errAt(stepsNode.line, "scenario has %d steps (cap %d)", len(stepsNode.items), MaxSteps)
-	}
-	for _, item := range stepsNode.items {
-		step, err := decodeStep(item)
-		if err != nil {
-			return nil, err
-		}
-		sc.Steps = append(sc.Steps, step)
-	}
-	return sc, nil
-}
-
-func decodeConfig(n *node, cfg *WorldConfig) error {
-	if err := n.expect(kindMapping, "config"); err != nil {
-		return err
-	}
-	if err := n.checkKeys("config", "backend", "part", "key", "manufacturer",
-		"npe", "recycling-screen", "challenge", "oracle-fingerprint", "fault"); err != nil {
-		return err
-	}
-	var err error
-	if c := n.get("backend"); c != nil {
-		if cfg.Backend, err = c.asString("backend"); err != nil {
-			return err
-		}
-	}
-	if c := n.get("part"); c != nil {
-		if cfg.Part, err = c.asString("part"); err != nil {
-			return err
-		}
-	}
-	if c := n.get("key"); c != nil {
-		if cfg.Key, err = c.asString("key"); err != nil {
-			return err
-		}
-	}
-	if c := n.get("manufacturer"); c != nil {
-		if cfg.Manufacturer, err = c.asString("manufacturer"); err != nil {
-			return err
-		}
-	}
-	if c := n.get("npe"); c != nil {
-		if cfg.NPE, err = c.asInt("npe"); err != nil {
-			return err
-		}
-	}
-	if c := n.get("recycling-screen"); c != nil {
-		if cfg.RecyclingScreen, err = c.asBool("recycling-screen"); err != nil {
-			return err
-		}
-	}
-	if c := n.get("challenge"); c != nil {
-		if cfg.Challenge, err = c.asBool("challenge"); err != nil {
-			return err
-		}
-	}
-	if c := n.get("oracle-fingerprint"); c != nil {
-		if cfg.OracleFingerprint, err = c.asBool("oracle-fingerprint"); err != nil {
-			return err
-		}
-	}
-	if c := n.get("fault"); c != nil {
-		if err := c.expect(kindMapping, "fault"); err != nil {
-			return err
-		}
-		if err := c.checkKeys("fault", "seed", "erase-timeout", "read-bit-flip", "program-error"); err != nil {
-			return err
-		}
-		f := &FaultSpec{}
-		if v := c.get("seed"); v != nil {
-			if f.Seed, err = v.asUint64("fault.seed"); err != nil {
-				return err
-			}
-		}
-		if v := c.get("erase-timeout"); v != nil {
-			if f.EraseTimeout, err = v.asFloat("fault.erase-timeout"); err != nil {
-				return err
-			}
-		}
-		if v := c.get("read-bit-flip"); v != nil {
-			if f.ReadBitFlip, err = v.asFloat("fault.read-bit-flip"); err != nil {
-				return err
-			}
-		}
-		if v := c.get("program-error"); v != nil {
-			if f.ProgramError, err = v.asFloat("fault.program-error"); err != nil {
-				return err
-			}
-		}
-		cfg.Fault = f
-	}
-	return nil
-}
-
-// verbKeys are the step keys that carry a verb payload.
-var verbKeys = []string{
-	string(VerbFabricate), string(VerbImprint), string(VerbAge),
-	string(VerbStress), string(VerbClone), string(VerbEnroll),
-	string(VerbVerify), string(VerbChallenge), string(VerbRestartRegistry),
-	string(VerbExpect),
-}
-
-func decodeStep(n *node) (Step, error) {
-	var st Step
-	if err := n.expect(kindMapping, "step"); err != nil {
-		return st, err
-	}
-	allowed := append([]string{"at", "name"}, verbKeys...)
-	if err := n.checkKeys("step", allowed...); err != nil {
-		return st, err
-	}
-	atNode := n.get("at")
-	if atNode == nil {
-		return st, errAt(n.line, "step needs an at: offset")
-	}
-	atStr, err := atNode.asString("at")
-	if err != nil {
-		return st, err
-	}
-	at, err := time.ParseDuration(atStr)
-	if err != nil {
-		return st, errAt(atNode.line, "bad at: offset %q: %v", atStr, err)
-	}
-	st.At = at
-	nameNode := n.get("name")
-	if nameNode == nil {
-		return st, errAt(n.line, "step needs a name")
-	}
-	if st.Name, err = nameNode.asString("name"); err != nil {
-		return st, err
-	}
-	var verbs []string
-	for _, k := range n.keys {
-		for _, v := range verbKeys {
-			if k == v {
-				verbs = append(verbs, k)
-			}
-		}
-	}
-	if len(verbs) != 1 {
-		return st, errAt(n.line, "step %q must carry exactly one verb, has %d", st.Name, len(verbs))
-	}
-	st.Verb = Verb(verbs[0])
-	body := n.get(verbs[0])
-	if err := body.expect(kindMapping, string(st.Verb)); err != nil {
-		return st, err
-	}
-	switch st.Verb {
-	case VerbFabricate:
-		st.Fabricate, err = decodeFabricate(body)
-	case VerbImprint:
-		st.Imprint, err = decodeImprint(body)
-	case VerbAge:
-		st.Age, err = decodeAge(body)
-	case VerbStress:
-		st.Stress, err = decodeStress(body)
-	case VerbClone:
-		st.Clone, err = decodeClone(body)
-	case VerbEnroll:
-		st.Enroll, err = decodeEnroll(body)
-	case VerbVerify:
-		st.Verify, err = decodeVerify(body)
-	case VerbChallenge:
-		st.Challenge, err = decodeChallenge(body)
-	case VerbRestartRegistry:
-		if kerr := body.checkKeys("restart-registry"); kerr != nil {
-			return st, kerr
-		}
-		st.RestartRegistry = &RestartStep{}
-	case VerbExpect:
-		st.Expect, err = decodeExpect(body)
-	}
-	return st, err
-}
-
-func chipRef(n *node, what string) (string, error) {
-	c := n.get("chip")
-	if c == nil {
-		return "", errAt(n.line, "%s needs a chip", what)
-	}
-	return c.asString(what + ".chip")
-}
-
-func decodeFabricate(n *node) (*FabricateStep, error) {
-	if err := n.checkKeys("fabricate", "chip", "class", "die", "seed"); err != nil {
-		return nil, err
-	}
-	f := &FabricateStep{}
-	var err error
-	if f.Chip, err = chipRef(n, "fabricate"); err != nil {
-		return nil, err
-	}
-	cl := n.get("class")
-	if cl == nil {
-		return nil, errAt(n.line, "fabricate needs a class")
-	}
-	if f.Class, err = cl.asString("fabricate.class"); err != nil {
-		return nil, err
-	}
-	if d := n.get("die"); d != nil {
-		if f.Die, err = d.asUint64("fabricate.die"); err != nil {
-			return nil, err
-		}
-	}
-	if s := n.get("seed"); s != nil {
-		v, err := s.asUint64("fabricate.seed")
-		if err != nil {
-			return nil, err
-		}
-		f.Seed = &v
-	}
-	return f, nil
-}
-
-func decodeImprint(n *node) (*ImprintStep, error) {
-	if err := n.checkKeys("imprint", "chip", "die", "status"); err != nil {
-		return nil, err
-	}
-	im := &ImprintStep{Status: "accept"}
-	var err error
-	if im.Chip, err = chipRef(n, "imprint"); err != nil {
-		return nil, err
-	}
-	if d := n.get("die"); d != nil {
-		if im.Die, err = d.asUint64("imprint.die"); err != nil {
-			return nil, err
-		}
-	}
-	if s := n.get("status"); s != nil {
-		if im.Status, err = s.asString("imprint.status"); err != nil {
-			return nil, err
-		}
-	}
-	return im, nil
-}
-
-func decodeAge(n *node) (*AgeStep, error) {
-	if err := n.checkKeys("age", "chip", "years"); err != nil {
-		return nil, err
-	}
-	a := &AgeStep{}
-	var err error
-	if a.Chip, err = chipRef(n, "age"); err != nil {
-		return nil, err
-	}
-	y := n.get("years")
-	if y == nil {
-		return nil, errAt(n.line, "age needs years")
-	}
-	if a.Years, err = y.asFloat("age.years"); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-func decodeStress(n *node) (*StressStep, error) {
-	if err := n.checkKeys("stress", "chip", "cycles", "segments"); err != nil {
-		return nil, err
-	}
-	s := &StressStep{}
-	var err error
-	if s.Chip, err = chipRef(n, "stress"); err != nil {
-		return nil, err
-	}
-	if c := n.get("cycles"); c != nil {
-		if s.Cycles, err = c.asInt("stress.cycles"); err != nil {
-			return nil, err
-		}
-	}
-	if c := n.get("segments"); c != nil {
-		if s.Segments, err = c.asInt("stress.segments"); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-func decodeClone(n *node) (*CloneStep, error) {
-	if err := n.checkKeys("clone", "chip", "of", "seed"); err != nil {
-		return nil, err
-	}
-	c := &CloneStep{}
-	var err error
-	if c.Chip, err = chipRef(n, "clone"); err != nil {
-		return nil, err
-	}
-	of := n.get("of")
-	if of == nil {
-		return nil, errAt(n.line, "clone needs of: the victim chip")
-	}
-	if c.Of, err = of.asString("clone.of"); err != nil {
-		return nil, err
-	}
-	if s := n.get("seed"); s != nil {
-		v, err := s.asUint64("clone.seed")
-		if err != nil {
-			return nil, err
-		}
-		c.Seed = &v
-	}
-	return c, nil
-}
-
-func decodeEnroll(n *node) (*EnrollStep, error) {
-	if err := n.checkKeys("enroll", "chip", "expect"); err != nil {
-		return nil, err
-	}
-	e := &EnrollStep{}
-	var err error
-	if e.Chip, err = chipRef(n, "enroll"); err != nil {
-		return nil, err
-	}
-	if x := n.get("expect"); x != nil {
-		if err := x.expect(kindMapping, "enroll.expect"); err != nil {
-			return nil, err
-		}
-		if err := x.checkKeys("enroll.expect", "verdict", "duplicate", "conflict", "count"); err != nil {
-			return nil, err
-		}
-		ex := &EnrollExpect{}
-		if v := x.get("verdict"); v != nil {
-			if ex.Verdict, err = v.asString("enroll.expect.verdict"); err != nil {
-				return nil, err
-			}
-		}
-		if v := x.get("duplicate"); v != nil {
-			b, err := v.asBool("enroll.expect.duplicate")
-			if err != nil {
-				return nil, err
-			}
-			ex.Duplicate = &b
-		}
-		if v := x.get("conflict"); v != nil {
-			b, err := v.asBool("enroll.expect.conflict")
-			if err != nil {
-				return nil, err
-			}
-			ex.Conflict = &b
-		}
-		if v := x.get("count"); v != nil {
-			c, err := v.asInt("enroll.expect.count")
-			if err != nil {
-				return nil, err
-			}
-			ex.Count = &c
-		}
-		e.Expect = ex
-	}
-	return e, nil
-}
-
-func decodeVerify(n *node) (*VerifyStep, error) {
-	if err := n.checkKeys("verify", "chip", "expect"); err != nil {
-		return nil, err
-	}
-	v := &VerifyStep{}
-	var err error
-	if v.Chip, err = chipRef(n, "verify"); err != nil {
-		return nil, err
-	}
-	if x := n.get("expect"); x != nil {
-		if err := x.expect(kindMapping, "verify.expect"); err != nil {
-			return nil, err
-		}
-		if err := x.checkKeys("verify.expect", "verdict", "accepted", "escalated", "fault"); err != nil {
-			return nil, err
-		}
-		ex := &VerifyExpect{}
-		if c := x.get("verdict"); c != nil {
-			if ex.Verdict, err = c.asString("verify.expect.verdict"); err != nil {
-				return nil, err
-			}
-		}
-		if c := x.get("accepted"); c != nil {
-			b, err := c.asBool("verify.expect.accepted")
-			if err != nil {
-				return nil, err
-			}
-			ex.Accepted = &b
-		}
-		if c := x.get("escalated"); c != nil {
-			b, err := c.asBool("verify.expect.escalated")
-			if err != nil {
-				return nil, err
-			}
-			ex.Escalated = &b
-		}
-		if c := x.get("fault"); c != nil {
-			b, err := c.asBool("verify.expect.fault")
-			if err != nil {
-				return nil, err
-			}
-			ex.Fault = &b
-		}
-		v.Expect = ex
-	}
-	return v, nil
-}
-
-func decodeChallenge(n *node) (*ChallengeStep, error) {
-	if err := n.checkKeys("challenge", "chip", "expect"); err != nil {
-		return nil, err
-	}
-	c := &ChallengeStep{}
-	var err error
-	if c.Chip, err = chipRef(n, "challenge"); err != nil {
-		return nil, err
-	}
-	if x := n.get("expect"); x != nil {
-		if err := x.expect(kindMapping, "challenge.expect"); err != nil {
-			return nil, err
-		}
-		if err := x.checkKeys("challenge.expect", "verdict", "enrolled", "match"); err != nil {
-			return nil, err
-		}
-		ex := &ChallengeExpect{}
-		if v := x.get("verdict"); v != nil {
-			if ex.Verdict, err = v.asString("challenge.expect.verdict"); err != nil {
-				return nil, err
-			}
-		}
-		if v := x.get("enrolled"); v != nil {
-			b, err := v.asBool("challenge.expect.enrolled")
-			if err != nil {
-				return nil, err
-			}
-			ex.Enrolled = &b
-		}
-		if v := x.get("match"); v != nil {
-			b, err := v.asBool("challenge.expect.match")
-			if err != nil {
-				return nil, err
-			}
-			ex.Match = &b
-		}
-		c.Expect = ex
-	}
-	return c, nil
-}
-
-func decodeExpect(n *node) (*ExpectStep, error) {
-	if err := n.checkKeys("expect", "metrics", "registry"); err != nil {
-		return nil, err
-	}
-	e := &ExpectStep{}
-	if m := n.get("metrics"); m != nil {
-		if err := m.expect(kindMapping, "expect.metrics"); err != nil {
-			return nil, err
-		}
-		e.Metrics = make(map[string]int64, len(m.keys))
-		for _, k := range m.keys {
-			v, err := m.fields[k].asInt64("expect.metrics." + k)
-			if err != nil {
-				return nil, err
-			}
-			e.Metrics[k] = v
-		}
-	}
-	if r := n.get("registry"); r != nil {
-		if err := r.expect(kindMapping, "expect.registry"); err != nil {
-			return nil, err
-		}
-		if err := r.checkKeys("expect.registry", "keys", "conflicts", "enrollments"); err != nil {
-			return nil, err
-		}
-		re := &RegistryExpect{}
-		for _, f := range []struct {
-			key string
-			dst **int64
-		}{{"keys", &re.Keys}, {"conflicts", &re.Conflicts}, {"enrollments", &re.Enrollments}} {
-			if v := r.get(f.key); v != nil {
-				x, err := v.asInt64("expect.registry." + f.key)
-				if err != nil {
-					return nil, err
-				}
-				*f.dst = &x
-			}
-		}
-		e.Registry = re
-	}
-	if e.Metrics == nil && e.Registry == nil {
-		return nil, errAt(n.line, "expect step asserts nothing")
-	}
-	return e, nil
 }
 
 // validate enforces the structural rules the engine relies on:

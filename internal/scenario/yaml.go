@@ -525,113 +525,3 @@ func unquoteScalar(s string, line int) (string, error) {
 	}
 	return unq, nil
 }
-
-// --- strict typed accessors used by the spec decoder ---
-
-func (n *node) expect(kind nodeKind, what string) error {
-	if n.kind != kind {
-		return errAt(n.line, "%s must be a %s, got %s", what, kind, n.kind)
-	}
-	return nil
-}
-
-// get returns the child for key, or nil.
-func (n *node) get(key string) *node { return n.fields[key] }
-
-// checkKeys rejects mapping keys outside the allowed set.
-func (n *node) checkKeys(what string, allowed ...string) error {
-	for _, k := range n.keys {
-		found := false
-		for _, a := range allowed {
-			if k == a {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return errAt(n.fields[k].line, "unknown %s key %q (allowed: %s)",
-				what, k, strings.Join(allowed, ", "))
-		}
-	}
-	return nil
-}
-
-func (n *node) asString(what string) (string, error) {
-	if err := n.expect(kindScalar, what); err != nil {
-		return "", err
-	}
-	return n.scalar, nil
-}
-
-func (n *node) asUint64(what string) (uint64, error) {
-	if err := n.expect(kindScalar, what); err != nil {
-		return 0, err
-	}
-	if n.quoted {
-		return 0, errAt(n.line, "%s must be an unquoted integer", what)
-	}
-	v, err := strconv.ParseUint(n.scalar, 0, 64)
-	if err != nil {
-		return 0, errAt(n.line, "%s: bad integer %q", what, n.scalar)
-	}
-	return v, nil
-}
-
-func (n *node) asInt(what string) (int, error) {
-	if err := n.expect(kindScalar, what); err != nil {
-		return 0, err
-	}
-	if n.quoted {
-		return 0, errAt(n.line, "%s must be an unquoted integer", what)
-	}
-	v, err := strconv.ParseInt(n.scalar, 0, 64)
-	if err != nil {
-		return 0, errAt(n.line, "%s: bad integer %q", what, n.scalar)
-	}
-	const maxInt = int64(^uint(0) >> 1)
-	if v > maxInt || v < -maxInt-1 {
-		return 0, errAt(n.line, "%s: integer %q out of range", what, n.scalar)
-	}
-	return int(v), nil
-}
-
-func (n *node) asInt64(what string) (int64, error) {
-	if err := n.expect(kindScalar, what); err != nil {
-		return 0, err
-	}
-	if n.quoted {
-		return 0, errAt(n.line, "%s must be an unquoted integer", what)
-	}
-	v, err := strconv.ParseInt(n.scalar, 0, 64)
-	if err != nil {
-		return 0, errAt(n.line, "%s: bad integer %q", what, n.scalar)
-	}
-	return v, nil
-}
-
-func (n *node) asFloat(what string) (float64, error) {
-	if err := n.expect(kindScalar, what); err != nil {
-		return 0, err
-	}
-	if n.quoted {
-		return 0, errAt(n.line, "%s must be an unquoted number", what)
-	}
-	v, err := strconv.ParseFloat(n.scalar, 64)
-	if err != nil {
-		return 0, errAt(n.line, "%s: bad number %q", what, n.scalar)
-	}
-	return v, nil
-}
-
-func (n *node) asBool(what string) (bool, error) {
-	if err := n.expect(kindScalar, what); err != nil {
-		return false, err
-	}
-	switch n.scalar {
-	case "true":
-		return true, nil
-	case "false":
-		return false, nil
-	}
-	return false, errAt(n.line, "%s: bad bool %q (want true or false)", what, n.scalar)
-}

@@ -22,10 +22,10 @@ import (
 // ceiling. miss-screen is a miss with the recycling screen on, as
 // fmverifyd runs by default (-recycling-screen); the other rows use the
 // package's test verifier, which leaves it off. The allocation profile
-// is deterministic (a miss measures 70, a screened miss 94, a hit 7),
-// so any excess is a lifecycle regression — a dropped pool, a
-// reflection encoder creeping back in — not runner noise; the headroom
-// is for stdlib drift.
+// is deterministic, so any excess is a lifecycle regression — a dropped
+// pool, a reflection encoder creeping back in — not runner noise; the
+// headroom is for stdlib drift. `go test -run TestVerifyHotPathAllocs
+// -v` logs each row's reading.
 var hotPaths = []struct {
 	name         string
 	cacheEntries int
