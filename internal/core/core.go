@@ -22,7 +22,7 @@ import (
 
 // Scratch pools for the extraction hot loop: repeated extractions (ROC
 // sweeps run thousands) reuse the all-zeros program image and the
-// per-word vote counters instead of reallocating them. Only the voted
+// per-word-bit vote counters instead of reallocating them. Only the voted
 // words of an extraction — the caller-owned result — are freshly
 // allocated; stress detection and characterization, which keep only
 // the cell counts, vote into the spent program image.
@@ -204,7 +204,10 @@ func AnalyzeSegment(dev device.Device, segAddr int, reads int) (words []uint64, 
 }
 
 // analyzeInto is AnalyzeSegment writing the voted words into words,
-// which holds one entry per segment word.
+// which holds one entry per segment word. It reads word by word (w, w,
+// w, then w+1) unless the backend is a device.PassReader, which it
+// reads pass by pass (every word, then every word again); both orders
+// run one loop into one per-word-bit tally.
 func analyzeInto(dev device.Device, segAddr int, reads int, words []uint64) (cells1, cells0 int, err error) {
 	geom := dev.Geometry()
 	seg, err := geom.SegmentOfAddr(segAddr)
@@ -213,32 +216,35 @@ func analyzeInto(dev device.Device, segAddr int, reads int, words []uint64) (cel
 	}
 	base := seg * geom.SegmentBytes
 	bits := geom.WordBits()
+	n := len(words)
 	vp := votesScratch.Get().(*[]int)
 	defer votesScratch.Put(vp)
-	votes := *vp
-	if cap(votes) < bits {
-		votes = make([]int, bits)
-		*vp = votes
+	if cap(*vp) < n*bits {
+		*vp = make([]int, n*bits)
 	}
-	votes = votes[:bits]
+	votes := (*vp)[:n*bits]
+	clear(votes)
+	_, byPass := device.As[device.PassReader](dev)
+	for k := 0; k < n*reads; k++ {
+		w := k / reads
+		if byPass {
+			w = k % n
+		}
+		v, rerr := dev.ReadWord(base + w*geom.WordBytes)
+		if rerr != nil {
+			return 0, 0, rerr
+		}
+		tally := votes[w*bits : (w+1)*bits]
+		for b := range tally {
+			if v&(1<<uint(b)) != 0 {
+				tally[b]++
+			}
+		}
+	}
 	for w := range words {
-		for i := range votes {
-			votes[i] = 0
-		}
-		for r := 0; r < reads; r++ {
-			v, rerr := dev.ReadWord(base + w*geom.WordBytes)
-			if rerr != nil {
-				return 0, 0, rerr
-			}
-			for b := 0; b < bits; b++ {
-				if v&(1<<uint(b)) != 0 {
-					votes[b]++
-				}
-			}
-		}
 		var voted uint64
-		for b := 0; b < bits; b++ {
-			if votes[b] > reads/2 {
+		for b, c := range votes[w*bits : (w+1)*bits] {
+			if c > reads/2 {
 				voted |= 1 << uint(b)
 				cells1++
 			} else {

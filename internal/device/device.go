@@ -160,6 +160,17 @@ type PartialProgrammer interface {
 	PartialProgramSegment(addr int, pulse time.Duration) error
 }
 
+// PassReader is the optional capability of backends that read a page at
+// a time, as NAND does. A majority read over such a backend reads every
+// word of the segment once per pass, the order its firmware would use
+// with one page read per pass, instead of re-reading each word before
+// the next. Probe it with As: the reads themselves still go through
+// ReadWord on the outermost device, so decorators see every one.
+type PassReader interface {
+	// ReadsByPass is a marker; it does nothing.
+	ReadsByPass()
+}
+
 // WearInspector is the optional capability of backends that expose cell
 // wear diagnostics (the reliability counters a production driver has).
 type WearInspector interface {

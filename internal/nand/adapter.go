@@ -16,28 +16,26 @@ import (
 // Adapter presents a NAND chip behind the substrate-neutral
 // device.Device interface, mapping one geometry "segment" onto one NAND
 // block: erases become block erases, block programs become in-order
-// page programs, and word reads are served from whole-page fetches.
+// page programs, and word reads are served from whole-page reads.
 // With this adapter the Flashmark procedures in package core run
 // unchanged against NAND — the paper's §VI claim — and the former
 // NAND-only imprint/extract twins are gone.
 //
 // Word-read semantics: NAND reads at page granularity, so ReadWord
-// fetches the word's page and caches it. Each cached word is served at
-// most once per fetch — a sequential single-read pass over a block (the
-// extraction access pattern) costs exactly one page read per page,
-// while re-reading a word fetches the page again so repeated reads of a
-// metastable cell remain independent samples. A fetch draws its noise
-// up front but decides a word's metastable cells only when the word is
-// served (see pageFetch): the majority pass re-fetches a page for every
-// re-read yet serves at most two words from each fetch.
+// reads the word's page (ReadPageInto) and caches it. Each cached word
+// is served at most once per page read: re-reading a word reads the
+// page again, so repeated reads of a metastable cell remain independent
+// samples. A sequential pass over a block costs one page read per page,
+// and the adapter is a device.PassReader, so a majority read goes pass
+// by pass and pays one page read per page per pass.
 type Adapter struct {
 	d    *Device
 	baud int
 
 	cacheBlock int
 	cachePage  int
-	fetch      *pageFetch
-	served     []bool
+	page       []byte // the cached page's bytes
+	served     []bool // per word of the cached page: served since the read
 }
 
 // AdapterName is the part name the adapter reports.
@@ -189,7 +187,7 @@ func (a *Adapter) ProgramBlock(addr int, values []uint64) error {
 // words into before each page program.
 var pageScratch = sync.Pool{New: func() any { b := []byte(nil); return &b }}
 
-// ReadWord reads one 16-bit word, fetching its page on a cache miss
+// ReadWord reads one 16-bit word, reading its page on a cache miss
 // (see the type comment for the served-once cache semantics).
 func (a *Adapter) ReadWord(addr int) (uint64, error) {
 	geom := a.Geometry()
@@ -205,30 +203,30 @@ func (a *Adapter) ReadWord(addr int) (uint64, error) {
 	page := word / wordsPerPage
 	inPage := word % wordsPerPage
 	if a.cacheBlock != block || a.cachePage != page || a.served[inPage] {
-		// Refill the fetch buffers in place: a steady-state read pass
+		// Refill the page buffers in place: a steady-state read pass
 		// over a block allocates nothing.
-		if a.fetch == nil {
-			a.fetch = new(pageFetch)
-		}
-		if err := a.d.fetchPage(block, page, a.fetch); err != nil {
+		data, err := a.d.ReadPageInto(block, page, a.page)
+		if err != nil {
 			a.invalidate()
 			return 0, err
 		}
-		a.cacheBlock, a.cachePage = block, page
+		a.page, a.cacheBlock, a.cachePage = data, block, page
 		if len(a.served) != wordsPerPage {
 			a.served = make([]bool, wordsPerPage)
 		} else {
-			for i := range a.served {
-				a.served[i] = false
-			}
+			clear(a.served)
 		}
 	}
 	a.served[inPage] = true
-	return uint64(a.fetch.byteAt(2*inPage)) | uint64(a.fetch.byteAt(2*inPage+1))<<8, nil
+	return uint64(a.page[2*inPage]) | uint64(a.page[2*inPage+1])<<8, nil
 }
 
+// ReadsByPass marks the adapter as a device.PassReader: a majority
+// read over it goes pass by pass, one page read per page per pass.
+func (a *Adapter) ReadsByPass() {}
+
 // ReadSegment reads every word of the block containing addr, in order
-// (one page fetch per page).
+// (one page read per page).
 func (a *Adapter) ReadSegment(addr int) ([]uint64, error) {
 	geom := a.Geometry()
 	block, err := a.blockOf(addr)
@@ -270,7 +268,6 @@ func (a *Adapter) StressSegmentWords(addr int, values []uint64, n int, adaptive 
 	}
 	a.invalidate()
 	d := a.d
-	d.gen++
 	sub := blockCells{d: d, block: block, base: block * geom.CellsPerSegment(), cells: geom.CellsPerSegment()}
 	one := func(i int) bool {
 		return values[i/geom.WordBits()]&(1<<uint(i%geom.WordBits())) != 0
@@ -423,7 +420,7 @@ func LoadAdapter(r io.Reader) (*Adapter, error) {
 
 // Loader reconstructs NAND chips from Save output, recycling the JSON
 // envelope, the binary array form, the cell array, the page-cursor
-// slice and the adapter's page-fetch buffers across loads — the NAND
+// slice and the adapter's page buffers across loads — the NAND
 // counterpart of mcu.Loader. The zero value is ready. A Loader is not
 // safe for concurrent use, and the adapter it returns aliases the
 // loader's storage: the next Load invalidates every previously returned
@@ -432,7 +429,8 @@ type Loader struct {
 	cf       nandChipFile
 	array    nor.ChipArray
 	nextPage []int
-	fetch    *pageFetch
+	page     []byte
+	served   []bool
 }
 
 // Load reconstructs a NAND chip from data, one complete chip file (the
@@ -480,20 +478,22 @@ func (l *Loader) Load(data []byte) (*Adapter, error) {
 	next := l.nextPage[:cf.Geometry.Blocks]
 	copy(next, cf.NextPage)
 	a := Adapt(newDevice(cf.Geometry, cf.Timing, cf.Params, cf.Seed, model, arr, next))
-	// The page-fetch buffers are recycled too, but the previous chip's
-	// page classification must not carry over to this one.
-	if l.fetch == nil {
-		l.fetch = new(pageFetch)
+	// The page buffers are recycled too. Adapt starts with no page
+	// cached, so the first read refills them for this chip.
+	n := cf.Geometry.PageBytes
+	if cap(l.page) < n {
+		l.page, l.served = make([]byte, n), make([]bool, n/2)
 	}
-	l.fetch.classified = false
-	a.fetch = l.fetch
+	a.page, a.served = l.page[:n], l.served[:n/2]
 	return a, nil
 }
 
-// Interface conformance (device.Device plus the wear capability; NAND
-// models neither aging, temperature, traces, nor partial programs yet).
+// Interface conformance (device.Device plus the wear and pass-read
+// capabilities; NAND models neither aging, temperature, traces, nor
+// partial programs yet).
 var (
 	_ device.Device        = (*Adapter)(nil)
 	_ device.WearInspector = (*Adapter)(nil)
+	_ device.PassReader    = (*Adapter)(nil)
 	_ device.AdaptiveMaxer = blockCells{}
 )

@@ -55,7 +55,6 @@ func compareCells(t *testing.T, fast, ref *Device, from, to int) {
 // shared stress kernel, as Adapter.StressSegmentWords does; it charges
 // no time, which the twins would pay alike.
 func stressBlock(d *Device, block int, one func(i int) bool, n int) {
-	d.gen++
 	cells := d.geom.CellsPerBlock()
 	device.ApplyStress(blockCells{d: d, block: block, base: block * cells, cells: cells}, one, n, device.StressWear{
 		FullWear:  d.model.EraseWear(true),

@@ -12,7 +12,6 @@ package nand
 
 import (
 	"fmt"
-	"math/bits"
 	"time"
 
 	"github.com/flashmark/flashmark/internal/floatgate"
@@ -105,10 +104,6 @@ type Device struct {
 	// nextPage tracks the sequential-programming cursor per block;
 	// a value of PagesPerBlock means the block is full.
 	nextPage []int
-	// gen counts the operations that may have changed a cell margin; a
-	// pageFetch's cell classification is valid only at the gen it was
-	// built at.
-	gen uint64
 
 	// Batched physics state (fastphys.go). bases/uorder cache the
 	// immutable per-cell parameters per block for the adaptive-erase max
@@ -225,7 +220,6 @@ func (d *Device) EraseBlock(block int) error {
 }
 
 func (d *Device) eraseBlockCells(block int) {
-	d.gen++
 	// One pass over the contiguous span; same EraseWear increments and
 	// margin stores as the per-cell accessor loop.
 	margins, wear := d.cells.CellSpan(block)
@@ -291,7 +285,6 @@ func (d *Device) PartialEraseBlock(block int, pulse time.Duration) error {
 		return d.EraseBlock(block)
 	}
 	pulseUs := float64(pulse) / float64(time.Microsecond)
-	d.gen++
 	if !d.physRef {
 		d.partialEraseBlockFast(block, pulseUs)
 	} else {
@@ -338,7 +331,6 @@ func (d *Device) ProgramPage(block, page int, data []byte) error {
 		return fmt.Errorf("nand: out-of-order program of page %d (next allowed %d); erase the block to rewind",
 			page, d.nextPage[block])
 	}
-	d.gen++
 	for byteIdx, b := range data {
 		for bit := 0; bit < 8; bit++ {
 			if b&(1<<uint(bit)) != 0 {
@@ -400,103 +392,6 @@ func (d *Device) ReadPageInto(block, page int, dst []byte) ([]byte, error) {
 	}
 	d.charge(vclock.OpRead, d.timing.PageRead)
 	return dst, nil
-}
-
-// pageFetch is one page read whose metastable cells are decided on
-// demand. The fetch consumes the noise stream exactly as ReadPageInto
-// does — one Float64 per cell within six sigma of its crossing, in page
-// order — and keeps the draws; byteAt then applies ReadPageInto's
-// comparison, draw < ReadOneProbability(margin), to the cells of the
-// byte asked for. The read-one probability (an erfc) is the dominant
-// cost of an eager read, and a majority read serves at most two words of
-// each fetch, so only the served cells pay for it. Every returned bit,
-// noise-stream position and clock charge is that of ReadPageInto.
-//
-// Which cells draw depends only on the page's margins, so the fetch
-// also keeps that classification and reuses it while the device's
-// margin generation is unchanged: a majority pass re-fetches each page
-// once per re-read, and every re-fetch only draws.
-type pageFetch struct {
-	model *floatgate.Model
-	// The classification's key: page and margin generation it was
-	// built from.
-	classified  bool
-	block, page int
-	gen         uint64
-
-	fixed  []byte    // per page byte: the bits decided without noise
-	noisy  []byte    // per page byte: the bits still to decide
-	first  []int32   // per page byte: its first noisy cell's index in margin
-	margin []float32 // per noisy cell, in page order
-	draw   []float64 // per noisy cell, in page order: this fetch's draws
-}
-
-// fetchPage reads one page into f, deferring each metastable cell's
-// decision to byteAt. Validation, stream consumption and the time charge
-// are ReadPageInto's.
-func (d *Device) fetchPage(block, page int, f *pageFetch) error {
-	if err := d.checkBlock(block); err != nil {
-		return err
-	}
-	if page < 0 || page >= d.geom.PagesPerBlock {
-		return fmt.Errorf("nand: page %d outside block of %d pages", page, d.geom.PagesPerBlock)
-	}
-	if !f.classified || f.block != block || f.page != page || f.gen != d.gen {
-		d.classifyPage(block, page, f)
-	}
-	for j := range f.draw {
-		f.draw[j] = d.noise.Float64()
-	}
-	d.charge(vclock.OpRead, d.timing.PageRead)
-	return nil
-}
-
-// classifyPage records which cells of a page read without noise (and
-// their bits) and the margins of those that draw.
-func (d *Device) classifyPage(block, page int, f *pageFetch) {
-	n, cells := d.geom.PageBytes, d.geom.CellsPerPage()
-	if cap(f.fixed) < n {
-		f.fixed, f.noisy, f.first = make([]byte, n), make([]byte, n), make([]int32, n)
-		f.margin, f.draw = make([]float32, 0, cells), make([]float64, 0, cells)
-	}
-	f.fixed, f.noisy, f.first = f.fixed[:n], f.noisy[:n], f.first[:n]
-	f.margin = f.margin[:0]
-	margins, _ := d.cells.CellSpan(block)
-	span := margins[page*cells : (page+1)*cells]
-	for byteIdx := 0; byteIdx < n; byteIdx++ {
-		f.first[byteIdx] = int32(len(f.margin))
-		var fixed, noisy byte
-		for bit := 0; bit < 8; bit++ {
-			m := span[byteIdx*8+bit]
-			// The six-sigma band subsumes ReadPageInto's erased and
-			// programmed sentinels, which lie far outside it.
-			if one, ok := d.model.ReadDecided(float64(m)); ok {
-				if one {
-					fixed |= 1 << uint(bit)
-				}
-				continue
-			}
-			noisy |= 1 << uint(bit)
-			f.margin = append(f.margin, m)
-		}
-		f.fixed[byteIdx], f.noisy[byteIdx] = fixed, noisy
-	}
-	f.draw = f.draw[:len(f.margin)]
-	f.model, f.classified, f.block, f.page, f.gen = d.model, true, block, page, d.gen
-}
-
-// byteAt returns byte i of the fetched page, deciding its metastable
-// cells from the fetch's draws: the value ReadPageInto returns for it.
-func (f *pageFetch) byteAt(i int) byte {
-	b := f.fixed[i]
-	j := f.first[i]
-	for noisy := f.noisy[i]; noisy != 0; noisy &= noisy - 1 {
-		if f.draw[j] < f.model.ReadOneProbability(float64(f.margin[j])) {
-			b |= 1 << uint(bits.TrailingZeros8(noisy))
-		}
-		j++
-	}
-	return b
 }
 
 // BlockWear returns min/mean/max wear across a block.

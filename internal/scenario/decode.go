@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"strconv"
@@ -186,8 +187,14 @@ func decodeScalar(n *node, what string, v reflect.Value) error {
 			v.SetUint(x)
 		}
 	case reflect.Float64:
+		// ParseFloat reads "NaN" and "Inf", which would pass every range
+		// check a spec makes (each comparison with NaN is false); refuse
+		// them as it refuses an overflow, with ErrRange.
 		var x float64
-		if x, err = strconv.ParseFloat(s, 64); err == nil {
+		if x, err = strconv.ParseFloat(s, 64); err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
+			err = strconv.ErrRange
+		}
+		if err == nil {
 			v.SetFloat(x)
 		}
 	default:

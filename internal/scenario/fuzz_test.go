@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,8 +13,9 @@ import (
 // that violates the validated invariants, and rejects hostile shapes
 // (oversized documents, deep nesting, step floods) with an error. The
 // committed seeds in testdata/fuzz/FuzzScenarioParse pin the known
-// hostile shapes, and every-key starts the fuzzer inside every verb,
-// config and fault; go's fuzzer mutates from there.
+// hostile shapes (non-finite-age among them: NaN passes every range
+// check), and every-key starts the fuzzer inside every verb, config and
+// fault; go's fuzzer mutates from there.
 func FuzzScenarioParse(f *testing.F) {
 	f.Add([]byte("name: ok\nsteps:\n  - at: 0s\n    name: a\n    fabricate: {chip: c, class: unmarked}\n"))
 	f.Add([]byte("name: out-of-order\nsteps:\n  - at: 2h\n    name: a\n    fabricate: {chip: c, class: unmarked}\n  - at: 1h\n    name: b\n    verify: {chip: c}\n"))
@@ -41,6 +43,9 @@ func FuzzScenarioParse(f *testing.F) {
 		}
 		if len(sc.Steps) == 0 || len(sc.Steps) > MaxSteps {
 			t.Fatalf("accepted scenario with %d steps", len(sc.Steps))
+		}
+		if !allFinite(reflect.ValueOf(sc).Elem()) {
+			t.Fatal("accepted a non-finite number")
 		}
 		var prev time.Duration
 		for i := range sc.Steps {
@@ -74,6 +79,29 @@ func FuzzScenarioParse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// allFinite reports whether every float64 reachable from v is finite.
+func allFinite(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Float64:
+		return !math.IsNaN(v.Float()) && !math.IsInf(v.Float(), 0)
+	case reflect.Pointer:
+		return v.IsNil() || allFinite(v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if !allFinite(v.Field(i)) {
+				return false
+			}
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			if !allFinite(v.Index(i)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestParseRejectsStepFlood synthesizes a document over the step cap —

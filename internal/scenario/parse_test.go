@@ -144,6 +144,7 @@ func TestParseTypeErrors(t *testing.T) {
 		"recycling not bool":  {doc("name: x\nconfig: {recycling-screen: sure}\n"), `recycling-screen: bad bool "sure"`},
 		"fault not mapping":   {doc("name: x\nconfig: {fault: 7}\n"), "fault must be a mapping"},
 		"fault prob string":   {doc("name: x\nconfig: {fault: {erase-timeout: likely}}\n"), `fault.erase-timeout: bad number "likely"`},
+		"fault prob NaN":      {doc("name: x\nconfig: {fault: {erase-timeout: NaN}}\n"), `fault.erase-timeout: bad number "NaN"`},
 		"at not duration":     {"name: x\nsteps:\n  - at: noon\n    name: a\n    fabricate: {chip: c, class: unmarked}\n", `invalid duration "noon"`},
 		"at not scalar":       {"name: x\nsteps:\n  - at: [0s]\n    name: a\n    fabricate: {chip: c, class: unmarked}\n", "at must be a scalar"},
 		"fab die bad hex":     {then("name: x\n", "    fabricate: {chip: d, class: unmarked, die: 0xZZ}\n"), `fabricate.die: bad integer "0xZZ"`},
@@ -153,6 +154,8 @@ func TestParseTypeErrors(t *testing.T) {
 		"imprint die typed":   {then("name: x\n", "    imprint: {chip: c, die: [1]}\n"), "imprint.die must be a scalar"},
 		"age years string":    {then("name: x\n", "    age: {chip: c, years: old}\n"), `age.years: bad number "old"`},
 		"age years negative":  {then("name: x\n", "    age: {chip: c, years: -1}\n"), "age years must be positive"},
+		"age years NaN":       {then("name: x\n", "    age: {chip: c, years: NaN}\n"), `age.years: bad number "NaN"`},
+		"age years infinite":  {then("name: x\n", "    age: {chip: c, years: +Inf}\n"), `age.years: bad number "+Inf"`},
 		"stress cycles typed": {then("name: x\n", "    stress: {chip: c, cycles: many}\n"), `stress.cycles: bad integer "many"`},
 		"stress negative":     {then("name: x\n", "    stress: {chip: c, cycles: -4}\n"), "must be non-negative"},
 		"clone seed typed":    {then("name: x\n", "    clone: {chip: d, of: c, seed: [1]}\n"), "clone.seed must be a scalar"},

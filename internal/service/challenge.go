@@ -81,7 +81,7 @@ const (
 // interrogateRaw loads a fresh device from the posted chip bytes and
 // runs the configured challenge interrogation on it. The device is
 // rebuilt per call (interrogation destroys the probe segment's content,
-// and pooled loader storage must not outlive the call).
+// and recycled loader storage must not outlive the call).
 func (s *Server) interrogateRaw(raw []byte) (challenge.Response, int64, error) {
 	var (
 		resp  challenge.Response

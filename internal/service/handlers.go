@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sync"
 	"time"
 
 	"github.com/flashmark/flashmark/internal/chipfile"
@@ -72,20 +71,20 @@ type BatchResponse struct {
 	Summary BatchSummary      `json:"summary"`
 }
 
-// chipLoaders pools chip-file dispatchers so a steady request stream
-// reloads chips into recycled arrays. It is shared by every Server in
-// the process, like bodyScratch: a loader holds no server state, and a
-// per-Server pool would give each new Server its own set of
-// multi-megabyte cell arrays.
-var chipLoaders = sync.Pool{New: func() any { return new(chipfile.Loader) }}
+// chipLoaders recycles chip-file dispatchers so a steady request stream
+// reloads chips into recycled arrays, a GC included. It is shared by
+// every Server in the process, like bodyScratch: a loader holds no
+// server state, and a per-Server list would give each new Server its
+// own set of multi-megabyte cell arrays.
+var chipLoaders = freeList[chipfile.Loader]{fresh: func() *chipfile.Loader { return new(chipfile.Loader) }}
 
-// withChip loads raw through a pooled dispatcher, applies the
+// withChip loads raw through a recycled dispatcher, applies the
 // configured decorator, and runs use on the device. The device aliases
-// the loader's storage, so the loader returns to the pool only after
+// the loader's storage, so the loader returns to chipLoaders only after
 // use does; use must not keep the device.
 func (s *Server) withChip(raw []byte, use func(device.Device) error) error {
-	ld := chipLoaders.Get().(*chipfile.Loader)
-	defer chipLoaders.Put(ld)
+	ld := chipLoaders.get()
+	defer chipLoaders.put(ld)
 	dev, err := ld.Load(raw)
 	if err != nil {
 		return &httpError{http.StatusBadRequest, err.Error()}
@@ -232,7 +231,7 @@ func (s *Server) serveVerify(ctx context.Context, req *request) ([]byte, error) 
 
 // decodeBatch is /v1/verify/batch's pre-admission step: a malformed or
 // empty batch is refused before it takes an admission slot. Unmarshal
-// copies each chip element out of the pooled body (RawMessage always
+// copies each chip element out of the recycled body (RawMessage always
 // appends into its own storage).
 func decodeBatch(req *request) ([]byte, error) {
 	var br BatchRequest

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"github.com/flashmark/flashmark/internal/counterfeit"
@@ -18,29 +19,35 @@ import (
 //
 // Run: make bench-hotpath
 
-// hotPaths are the request paths, each with its hard allocs/op
-// ceiling. miss-screen is a miss with the recycling screen on, as
-// fmverifyd runs by default (-recycling-screen); the other rows use the
+// hotPath is one request path: its server's verdict cache size
+// (negative turns the cache off, as on a miss), whether the recycling
+// screen is on, whether it posts a NAND chip instead of a NOR one, its
+// hard allocs/op ceiling, and its benchmark's throughput floor.
+type hotPath struct {
+	name           string
+	cacheEntries   int
+	screen         bool
+	nand           bool
+	maxAllocs      float64
+	minChipsPerSec float64
+}
+
+// hotPaths are the request paths. miss-screen is a miss with the
+// recycling screen on, as fmverifyd runs by default (-recycling-screen);
+// miss-nand is the same for a NAND chip; the other rows use the
 // package's test verifier, which leaves it off. The allocation profile
 // is deterministic, so any excess is a lifecycle regression — a dropped
 // pool, a reflection encoder creeping back in — not runner noise; the
 // headroom is for stdlib drift. `go test -run TestVerifyHotPathAllocs
-// -v` logs each row's reading.
-var hotPaths = []struct {
-	name         string
-	cacheEntries int
-	screen       bool
-	maxAllocs    float64
-}{
-	{"miss", -1, false, 200},
-	{"miss-screen", -1, true, 200},
-	{"hit", 0, false, 16},
+// -v` logs each row's reading. The throughput floors are deliberately
+// loose: raw speed tracks the runner, a floor only proves the benchmark
+// did real verifications (a NAND verify costs several NOR ones).
+var hotPaths = []hotPath{
+	{name: "miss", cacheEntries: -1, maxAllocs: 200, minChipsPerSec: 20},
+	{name: "miss-screen", cacheEntries: -1, screen: true, maxAllocs: 200, minChipsPerSec: 20},
+	{name: "miss-nand", cacheEntries: -1, screen: true, nand: true, maxAllocs: 100, minChipsPerSec: 5},
+	{name: "hit", maxAllocs: 16},
 }
-
-// minMissChipsPerSec is a deliberately loose throughput floor for the
-// miss path: raw speed tracks the runner, the floor only proves the
-// benchmark did real verifications.
-const minMissChipsPerSec = 20
 
 // hotResponseWriter is a reusable discarding ResponseWriter so the
 // benchmark measures the service, not httptest.ResponseRecorder.
@@ -94,18 +101,19 @@ func (r *rewindReader) Read(p []byte) (int, error) {
 
 func (r *rewindReader) Close() error { return nil }
 
-// newHotDriver drives a single-worker server with the given verdict
-// cache size (negative turns the cache off, as on the miss path) and,
-// when screen is set, the recycling screen on.
-func newHotDriver(tb testing.TB, cacheEntries int, screen bool) *hotDriver {
+// newHotDriver drives a single-worker server configured for path p.
+func newHotDriver(tb testing.TB, p hotPath) *hotDriver {
 	tb.Helper()
 	v := testVerifier()
-	v.CheckRecycling = screen
-	s, err := New(Config{Verifier: v, Workers: 1, CacheEntries: cacheEntries})
+	v.CheckRecycling = p.screen
+	s, err := New(Config{Verifier: v, Workers: 1, CacheEntries: p.cacheEntries})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	chip := chipBytes(tb, counterfeit.ClassGenuineAccept, 0xB001, 9001)
+	if p.nand {
+		chip = nandChipBytes(tb, counterfeit.ClassGenuineAccept, 0xB002, 9002)
+	}
 	body := &rewindReader{data: chip}
 	req := httptest.NewRequest(http.MethodPost, "/v1/verify", nil)
 	req.Body = body
@@ -128,17 +136,18 @@ func (d *hotDriver) verify(tb testing.TB) {
 }
 
 // TestVerifyHotPathAllocs holds every request path under its allocs/op
-// ceiling. The race detector makes sync.Pool (bodyScratch,
-// chipLoaders) drop items on purpose, so the count is only meaningful
-// without it.
+// ceiling. The race detector makes sync.Pool drop items on purpose, and
+// the physics layer's scratch (core's vote counters, the NOR save
+// buffers, the sort scratch) lives in sync.Pools, so the count is only
+// meaningful without it.
 func TestVerifyHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	for _, p := range hotPaths {
-		d := newHotDriver(t, p.cacheEntries, p.screen)
-		// AllocsPerRun's own warm-up call fills the pools and, on the
-		// hit path, the verdict cache.
+		d := newHotDriver(t, p)
+		// AllocsPerRun's own warm-up call fills the free lists and
+		// pools and, on the hit path, the verdict cache.
 		allocs := testing.AllocsPerRun(10, func() { d.verify(t) })
 		t.Logf("%s: %v allocs/op", p.name, allocs)
 		if allocs > p.maxAllocs {
@@ -147,15 +156,50 @@ func TestVerifyHotPathAllocs(t *testing.T) {
 	}
 }
 
+// TestVerifyScratchSurvivesGC: the chip loaders and body buffers a miss
+// reuses must outlive a garbage collection. Two GCs empty every
+// sync.Pool, so a verify right after them pays again for whatever
+// scratch a pool held. The loaders and bodies sit on free lists, so it
+// may allocate at most twice what a steady-state verify does;
+// rebuilding a loader's cell arrays and the body buffer breaks that.
+func TestVerifyScratchSurvivesGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	d := newHotDriver(t, hotPaths[1]) // miss-screen
+	allocated := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		d.verify(t)
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before
+	}
+	allocated() // fill the free lists and pools
+	// The steady cost is the cheapest of a few verifies: a GC of its
+	// own during one of them would inflate it.
+	steady := allocated()
+	for i := 0; i < 4; i++ {
+		steady = min(steady, allocated())
+	}
+	runtime.GC()
+	runtime.GC()
+	afterGC := allocated()
+	t.Logf("steady %d B/op, after two GCs %d B", steady, afterGC)
+	if afterGC > 2*steady {
+		t.Errorf("a verify after two GCs allocated %d B, over twice the steady %d B/op: scratch did not survive the GC", afterGC, steady)
+	}
+}
+
 // BenchmarkVerifyHotPath is the headline single-core chips-verified/sec
-// figure. The miss sub-benchmark disables the verdict cache so every
+// figure. The miss sub-benchmarks disable the verdict cache so every
 // request runs the full lifecycle; the hit sub-benchmark serves a warm
 // cache entry, isolating the fixed per-request service overhead.
 func BenchmarkVerifyHotPath(b *testing.B) {
 	for _, p := range hotPaths {
 		b.Run(p.name, func(b *testing.B) {
-			d := newHotDriver(b, p.cacheEntries, p.screen)
-			d.verify(b) // warm the pools and, on the hit path, the verdict cache
+			d := newHotDriver(b, p)
+			d.verify(b) // warm the free lists and pools and, on the hit path, the verdict cache
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -164,8 +208,8 @@ func BenchmarkVerifyHotPath(b *testing.B) {
 			b.StopTimer()
 			perSec := float64(b.N) / b.Elapsed().Seconds()
 			b.ReportMetric(perSec, "chips/s")
-			if p.cacheEntries < 0 && perSec < minMissChipsPerSec {
-				b.Fatalf("miss-path throughput %.1f chips/s is below the %d floor", perSec, minMissChipsPerSec)
+			if perSec < p.minChipsPerSec {
+				b.Fatalf("%s throughput %.1f chips/s is below the %.0f floor", p.name, perSec, p.minChipsPerSec)
 			}
 		})
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"github.com/flashmark/flashmark/internal/parallel"
@@ -28,7 +27,7 @@ type endpoint struct {
 }
 
 // request is one POST as the lifecycle hands it to its endpoint. raw is
-// the pooled body, valid only until the endpoint returns: whatever the
+// the recycled body, valid only until the endpoint returns: whatever the
 // endpoint keeps or answers is copied out of it.
 type request struct {
 	w     http.ResponseWriter
@@ -85,7 +84,7 @@ func (s *Server) post(e endpoint) http.HandlerFunc {
 	}
 }
 
-// run reads the body into a pooled buffer (413, 400) and runs e.pre;
+// run reads the body into a recycled buffer (413, 400) and runs e.pre;
 // unless pre answered, it takes an admission slot (429, or 499), bounds
 // the rest by RequestTimeout and runs e.serve. It releases all of these
 // when it returns; the answer aliases none of them.
@@ -184,15 +183,16 @@ func (s *Server) beginRequest() bool {
 }
 
 // bodyScratch recycles request-body read buffers across requests: the
-// dominant body (one chip file, ~100KB of base64) is read into pooled
-// capacity instead of a fresh io.ReadAll allocation chain per request.
-var bodyScratch = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
+// dominant body (one chip file, ~100 KB of base64 for NOR, ~1 MB for
+// NAND) is read into recycled capacity instead of a fresh io.ReadAll
+// allocation chain per request.
+var bodyScratch = freeList[[]byte]{fresh: func() *[]byte { b := make([]byte, 0, 64<<10); return &b }}
 
 // readBody drains the request body under the configured cap into a
 // buffer from bodyScratch. On success the caller owns the buffer until
 // it passes it to releaseBody; the bytes must not be retained past it.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, error) {
-	bp := bodyScratch.Get().(*[]byte)
+	bp := bodyScratch.get()
 	buf := (*bp)[:0]
 	lr := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	for {
@@ -222,5 +222,5 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, erro
 // to bodyScratch.
 func releaseBody(bp *[]byte) {
 	*bp = (*bp)[:0]
-	bodyScratch.Put(bp)
+	bodyScratch.put(bp)
 }

@@ -9,36 +9,17 @@ import (
 	"testing"
 
 	"github.com/flashmark/flashmark/internal/counterfeit"
-	"github.com/flashmark/flashmark/internal/floatgate"
-	"github.com/flashmark/flashmark/internal/nand"
-	"github.com/flashmark/flashmark/internal/wmcode"
 )
 
 // TestServersShareLoaderPool drives two Servers at once with NAND and
 // NOR chips. Both draw their chip loaders from the one process-wide
-// pool, and the devices a loader returns alias its storage, so a loader
+// free list, and the devices a loader returns alias its storage, so a loader
 // handed to two screenings at once would corrupt a verdict: every
 // concurrent answer must be byte-identical to the chip's serial answer.
 // Run it under -race.
 func TestServersShareLoaderPool(t *testing.T) {
-	nandGenuine := func(seed, die uint64) []byte {
-		t.Helper()
-		cfg := counterfeit.FactoryConfig{
-			Fab:   nand.Fab(nand.SmallNAND(), nand.SLCTiming(), floatgate.DefaultParams()),
-			Codec: wmcode.Codec{Key: []byte(testKey)},
-		}
-		dev, err := counterfeit.Fabricate(counterfeit.ClassGenuineAccept, cfg, seed, die)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := dev.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	chips := [][]byte{
-		nandGenuine(0x5101, 5101),
+		nandChipBytes(t, counterfeit.ClassGenuineAccept, 0x5101, 5101),
 		chipBytes(t, counterfeit.ClassGenuineAccept, 0x5102, 5102),
 		nandBlank(t, 0x5103),
 		chipBytes(t, counterfeit.ClassRecycled, 0x5104, 5104),
@@ -94,5 +75,28 @@ func TestServersShareLoaderPool(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestFreeListBound: a free list hands back what was put, newest first,
+// keeps no more idle values than its largest reserve, and makes a fresh
+// value when it is empty.
+func TestFreeListBound(t *testing.T) {
+	made := 0
+	f := freeList[int]{fresh: func() *int { made++; return new(int) }}
+	f.reserve(2)
+	f.reserve(1) // a smaller worker count does not shrink the bound
+	a, b, c := new(int), new(int), new(int)
+	f.put(a)
+	f.put(b)
+	f.put(c) // over the bound: dropped
+	if got := f.get(); got != b {
+		t.Fatal("get did not return the newest idle value")
+	}
+	if got := f.get(); got != a {
+		t.Fatal("get did not return the older idle value")
+	}
+	if f.get(); made != 1 {
+		t.Fatalf("an empty list made %d values, want 1", made)
 	}
 }

@@ -31,8 +31,19 @@ func testVerifier() counterfeit.Verifier {
 // way a client would upload it.
 func chipBytes(t testing.TB, class counterfeit.ChipClass, seed, die uint64) []byte {
 	t.Helper()
+	return fabChipBytes(t, mcu.Fab(mcu.PartSmallSim()), class, seed, die)
+}
+
+// nandChipBytes is chipBytes for a SmallNAND chip.
+func nandChipBytes(t testing.TB, class counterfeit.ChipClass, seed, die uint64) []byte {
+	t.Helper()
+	return fabChipBytes(t, nand.Fab(nand.SmallNAND(), nand.SLCTiming(), floatgate.DefaultParams()), class, seed, die)
+}
+
+func fabChipBytes(t testing.TB, fab device.Fab, class counterfeit.ChipClass, seed, die uint64) []byte {
+	t.Helper()
 	cfg := counterfeit.FactoryConfig{
-		Fab:   mcu.Fab(mcu.PartSmallSim()),
+		Fab:   fab,
 		Codec: wmcode.Codec{Key: []byte(testKey)},
 	}
 	dev, err := counterfeit.Fabricate(class, cfg, seed, die)
