@@ -6,12 +6,14 @@
 package chipfile
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
 	"github.com/flashmark/flashmark/internal/device"
 	"github.com/flashmark/flashmark/internal/mcu"
 	"github.com/flashmark/flashmark/internal/nand"
+	"github.com/flashmark/flashmark/internal/nor"
 	"github.com/flashmark/flashmark/internal/reram"
 )
 
@@ -60,6 +62,61 @@ func (l *Loader) Load(data []byte) (device.Device, error) {
 	return d, nil
 }
 
+// SplitBatch splits a batch body, {"chips":[...]} with every element a
+// canonical chip file (nor.ChipFileLen), into its elements without
+// running encoding/json's scanner over the tokens. Each element is
+// exactly the bytes json.Unmarshal would give its json.RawMessage,
+// from its '{' to its matching '}', but aliases body instead of
+// copying it, with no spare capacity. ok is false for any other body,
+// which the caller decodes with encoding/json; a body SplitBatch
+// accepts, json.Unmarshal accepts too.
+func SplitBatch(body []byte) (chips []json.RawMessage, ok bool) {
+	i := 0
+	for _, want := range [...]string{`{`, `"chips"`, `:`, `[`} {
+		i = skipSpace(body, i)
+		if !bytes.HasPrefix(body[i:], []byte(want)) {
+			return nil, false
+		}
+		i += len(want)
+	}
+	if i = skipSpace(body, i); i < len(body) && body[i] == ']' {
+		i++
+	} else {
+		for {
+			if i == len(body) || body[i] != '{' {
+				return nil, false
+			}
+			n, ok := nor.ChipFileLen(body[i:])
+			if !ok {
+				return nil, false
+			}
+			chips = append(chips, body[i:i+n:i+n])
+			if i = skipSpace(body, i+n); i == len(body) {
+				return nil, false
+			}
+			if body[i] == ']' {
+				i++
+				break
+			}
+			if body[i] != ',' {
+				return nil, false
+			}
+			i = skipSpace(body, i+1)
+		}
+	}
+	if i = skipSpace(body, i); i == len(body) || body[i] != '}' || skipSpace(body, i+1) != len(body) {
+		return nil, false
+	}
+	return chips, true
+}
+
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
 // sniffFormat scans the head of a chip file for the leading
 // {"format":"..."} member without parsing the whole file. Every
 // backend's Save writes the format member first with no escapes, so the
@@ -67,29 +124,20 @@ func (l *Loader) Load(data []byte) (device.Device, error) {
 // elsewhere, escapes, non-objects) reports !ok and Load falls back to a
 // full unmarshal for its exact error.
 func sniffFormat(raw []byte) ([]byte, bool) {
-	i := 0
-	skipWS := func() {
-		for i < len(raw) && (raw[i] == ' ' || raw[i] == '\t' || raw[i] == '\n' || raw[i] == '\r') {
-			i++
-		}
-	}
-	skipWS()
+	i := skipSpace(raw, 0)
 	if i >= len(raw) || raw[i] != '{' {
 		return nil, false
 	}
-	i++
-	skipWS()
+	i = skipSpace(raw, i+1)
 	const key = `"format"`
 	if len(raw)-i < len(key) || string(raw[i:i+len(key)]) != key {
 		return nil, false
 	}
-	i += len(key)
-	skipWS()
+	i = skipSpace(raw, i+len(key))
 	if i >= len(raw) || raw[i] != ':' {
 		return nil, false
 	}
-	i++
-	skipWS()
+	i = skipSpace(raw, i+1)
 	if i >= len(raw) || raw[i] != '"' {
 		return nil, false
 	}

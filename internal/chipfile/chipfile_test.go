@@ -80,6 +80,66 @@ func TestLoadDispatchesOnFormat(t *testing.T) {
 	}
 }
 
+// TestLoadKeepsNoReferenceToData: a Loader lets go of the caller's
+// bytes when Load returns. A canonical file's array token is read in
+// place; were the loader to keep it as recycled capacity, the next,
+// non-canonical file's token would be written over the first caller's
+// buffer.
+func TestLoadKeepsNoReferenceToData(t *testing.T) {
+	fresh := savedChips(t)
+	for format, programmed := range programmedChips(t) {
+		var cf map[string]json.RawMessage
+		if err := json.Unmarshal(fresh[format], &cf); err != nil {
+			t.Fatal(err)
+		}
+		reordered, err := json.Marshal(cf) // sorted keys: "array" is not last
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := bytes.Clone(programmed)
+		var l chipfile.Loader
+		for _, data := range [][]byte{programmed, reordered} {
+			if _, err := l.Load(data); err != nil {
+				t.Fatalf("%s: %v", format, err)
+			}
+		}
+		if !bytes.Equal(programmed, kept) {
+			t.Errorf("%s: loading a second file changed the first file's bytes", format)
+		}
+	}
+}
+
+// programmedChips is savedChips with a pattern programmed into the
+// first 256 words, so each array token is longer than a fresh chip's.
+func programmedChips(t *testing.T) map[string][]byte {
+	t.Helper()
+	chips := savedChips(t)
+	var l chipfile.Loader
+	words := make([]uint64, 256)
+	for i := range words {
+		words[i] = uint64(i*37) & 0xFFFF
+	}
+	for format, file := range chips {
+		dev, err := l.Load(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.Unlock(); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.ProgramBlock(0, words); err != nil {
+			t.Fatal(err)
+		}
+		dev.Lock()
+		var buf bytes.Buffer
+		if err := dev.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		chips[format] = buf.Bytes()
+	}
+	return chips
+}
+
 // TestLoadRejectsForgedGeometryCheaply: a chip file is untrusted input.
 // For each backend, a small file whose claimed geometry disagrees with
 // the array it carries must be refused before anything is sized from

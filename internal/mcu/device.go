@@ -202,10 +202,9 @@ func (d *Device) ChargeHostTransfer(n int) {
 
 // chipFile is the on-disk JSON envelope for a chip. The array payload —
 // the dominant field by orders of magnitude — stays a raw JSON string
-// on the decode side: json.RawMessage reuses its backing capacity
-// across Unmarshal calls, which is what lets a pooled Loader parse chip
-// files without reallocating the payload (base64 never contains JSON
-// escapes, so the quoted bytes are decodable in place).
+// on the decode side. nor.UnmarshalChipFile reads it in place from a
+// canonical file; for any other file json.Unmarshal appends it into the
+// RawMessage's recycled capacity.
 type chipFile struct {
 	Format   string            `json:"format"`
 	Version  int               `json:"version"`
@@ -248,14 +247,15 @@ func Load(r io.Reader) (*Device, error) {
 }
 
 // Loader parses chip files with fully reusable scratch: the JSON
-// envelope (its raw array payload included), the base64-decoded binary
-// form, and the cell array itself are all recycled across Load calls
-// when the geometry repeats — the service hot path, where one catalog
-// part dominates any given dock. The device returned by Load aliases
-// the Loader's array storage, so it is invalidated by the next Load;
-// callers keep a device and its loader together for the request and
-// recycle both when the report is rendered. A Loader is not safe for
-// concurrent use; pool instances instead. The zero value is ready.
+// envelope, the base64-decoded binary form, and the cell array itself
+// are all recycled across Load calls when the geometry repeats — the
+// service hot path, where one catalog part dominates any given dock.
+// The device returned by Load aliases the Loader's array storage, so it
+// is invalidated by the next Load; callers keep a device and its loader
+// together for the request and recycle both when the report is
+// rendered. A Loader keeps no reference to the bytes it loaded. A
+// Loader is not safe for concurrent use; pool instances instead. The
+// zero value is ready.
 type Loader struct {
 	cf    chipFile
 	array nor.ChipArray
@@ -268,7 +268,8 @@ type Loader struct {
 // experimental parameters reload faithfully.
 func (l *Loader) Load(data []byte) (*Device, error) {
 	l.cf = chipFile{Array: l.cf.Array[:0]}
-	if err := json.Unmarshal(data, &l.cf); err != nil {
+	token, err := nor.UnmarshalChipFile(data, &l.cf, &l.cf.Array)
+	if err != nil {
 		return nil, fmt.Errorf("mcu: decoding chip file: %w", err)
 	}
 	cf := &l.cf
@@ -285,7 +286,7 @@ func (l *Loader) Load(data []byte) (*Device, error) {
 	if cf.Params != nil {
 		part.Params = *cf.Params
 	}
-	arr, err := l.array.Decode(cf.Array, part.Geometry)
+	arr, err := l.array.Decode(token, part.Geometry)
 	if err != nil {
 		return nil, fmt.Errorf("mcu: %w", err)
 	}

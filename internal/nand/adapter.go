@@ -369,10 +369,10 @@ func (b blockCells) MaxTauOver(include func(i int) bool, wearOf func(i int) floa
 }
 
 // nandChipFile is the on-disk JSON envelope for a NAND chip. Array is
-// kept as raw JSON (the quoted base64 text) rather than a string: like
-// mcu's chipFile, RawMessage's append-into-self decode lets a reloading
-// Loader recycle the payload buffer, and base64 text never needs
-// unescaping.
+// kept as raw JSON (the quoted base64 text) rather than a string, as in
+// mcu's chipFile: nor.UnmarshalChipFile reads it in place from a
+// canonical file, and RawMessage's append-into-self decode recycles
+// its buffer for any other.
 type nandChipFile struct {
 	Format   string           `json:"format"`
 	Version  int              `json:"version"`
@@ -440,7 +440,8 @@ func (l *Loader) Load(data []byte) (*Adapter, error) {
 	// RawMessage and slice decoding both append into the existing
 	// backing store.
 	l.cf = nandChipFile{Array: l.cf.Array[:0], NextPage: l.cf.NextPage[:0]}
-	if err := json.Unmarshal(data, &l.cf); err != nil {
+	token, err := nor.UnmarshalChipFile(data, &l.cf, &l.cf.Array)
+	if err != nil {
 		return nil, fmt.Errorf("nand: decoding chip file: %w", err)
 	}
 	cf := &l.cf
@@ -460,7 +461,7 @@ func (l *Loader) Load(data []byte) (*Adapter, error) {
 	if err != nil {
 		return nil, err
 	}
-	arr, err := l.array.Decode(cf.Array, norGeomFor(cf.Geometry))
+	arr, err := l.array.Decode(token, norGeomFor(cf.Geometry))
 	if err != nil {
 		return nil, fmt.Errorf("nand: %w", err)
 	}

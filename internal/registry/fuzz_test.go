@@ -9,9 +9,11 @@ package registry
 // Run: go test -run xxx -fuzz FuzzWALReplay ./internal/registry
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"time"
 )
 
 // fuzzFrame builds one valid framed enrollment for seed corpora.
@@ -125,4 +127,105 @@ func FuzzSnapshot(f *testing.F) {
 			m.restore(ent.first.Key, ent.first, ent.fp, ent.count, ent.taint)
 		}
 	})
+}
+
+// FuzzWireFrames feeds arbitrary bytes to the wire framing that
+// fmregistryd nodes read from network peers: ReadMessage runs until it
+// returns an error, and every DecodeWire* function parses each payload.
+// Nothing may panic, and a payload that decodes must re-encode through
+// the matching AppendWire* to a payload that decodes to the same value.
+func FuzzWireFrames(f *testing.F) {
+	e := enr("acme", 7, fpByte(1), "line-a")
+	e.UnixMicro = 1_700_000_000_000_000
+	enrollment, _ := AppendWireEnrollment(nil, e)
+	key, _ := AppendWireKey(nil, e.Key)
+	result, _ := AppendWireEnrollResult(nil, EnrollResult{Count: 2, Duplicate: true, Conflict: true, First: e})
+	state, _ := AppendWireState(nil, LookupResult{First: e, Fingerprint: fpByte(2), Count: 3, Conflict: true})
+	stats := AppendWireStats(nil, Stats{Keys: 1, Enrollments: 2, WALBytes: 4096, LastCompaction: 3, Recovery: 1500 * time.Microsecond})
+	var stream bytes.Buffer
+	w := bufio.NewWriter(&stream)
+	for _, m := range []struct {
+		op      Op
+		payload []byte
+	}{
+		{OpEnroll, enrollment}, {OpLookup, key}, {OpOK, result},
+		{OpSnapChunk, state}, {OpOK, stats}, {OpPing, nil},
+	} {
+		if err := WriteMessage(w, m.op, m.payload); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	valid := stream.Bytes()
+	f.Add(valid)
+	forged := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(forged, 1<<30) // forged length header
+	f.Add(forged)
+	f.Add(valid[:wireHeadBytes+len(enrollment)-3]) // truncated payload
+	f.Add([]byte{})                                // empty stream
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bufio.NewReader(bytes.NewReader(data))
+		var buf []byte
+		for {
+			_, payload, err := ReadMessage(r, buf)
+			if err != nil {
+				return
+			}
+			buf = payload
+			checkWireRoundTrip(t, payload)
+		}
+	})
+}
+
+// checkWireRoundTrip runs every wire decoder on p and re-encodes what
+// decodes.
+func checkWireRoundTrip(t *testing.T, p []byte) {
+	t.Helper()
+	if e, err := DecodeWireEnrollment(p); err == nil {
+		re, err := AppendWireEnrollment(nil, e)
+		if err != nil {
+			t.Fatalf("decoded enrollment %+v does not re-encode: %v", e, err)
+		}
+		if back, err := DecodeWireEnrollment(re); err != nil || back != e {
+			t.Fatalf("enrollment %+v came back as %+v (%v)", e, back, err)
+		}
+	}
+	if k, n, err := DecodeWireKey(p); err == nil {
+		if n < 1 || n > len(p) {
+			t.Fatalf("DecodeWireKey consumed %d of %d bytes", n, len(p))
+		}
+		re, err := AppendWireKey(nil, k)
+		if err != nil {
+			t.Fatalf("decoded key %+v does not re-encode: %v", k, err)
+		}
+		if back, m, err := DecodeWireKey(re); err != nil || back != k || m != len(re) {
+			t.Fatalf("key %+v came back as %+v after %d of %d bytes (%v)", k, back, m, len(re), err)
+		}
+	}
+	if r, err := DecodeWireEnrollResult(p); err == nil {
+		re, err := AppendWireEnrollResult(nil, r)
+		if err != nil {
+			t.Fatalf("decoded enroll result %+v does not re-encode: %v", r, err)
+		}
+		if back, err := DecodeWireEnrollResult(re); err != nil || back != r {
+			t.Fatalf("enroll result %+v came back as %+v (%v)", r, back, err)
+		}
+	}
+	if s, err := DecodeWireState(p); err == nil {
+		re, err := AppendWireState(nil, s)
+		if err != nil {
+			t.Fatalf("decoded state %+v does not re-encode: %v", s, err)
+		}
+		if back, err := DecodeWireState(re); err != nil || back != s {
+			t.Fatalf("state %+v came back as %+v (%v)", s, back, err)
+		}
+	}
+	if s, err := DecodeWireStats(p); err == nil {
+		if back, err := DecodeWireStats(AppendWireStats(nil, s)); err != nil || back != s {
+			t.Fatalf("stats %+v came back as %+v (%v)", s, back, err)
+		}
+	}
 }

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"time"
 )
 
@@ -236,6 +237,12 @@ func DecodeWireStats(p []byte) (Stats, error) {
 	s.Keys, s.Enrollments, s.Lookups, s.Conflicts = u(0), u(1), u(2), u(3)
 	s.WALAppends, s.WALFsyncs, s.WALBytes, s.WALRecords = u(4), u(5), u(6), u(7)
 	s.Compactions, s.LastCompaction, s.WALSegments = u(8), uint64(u(9)), u(10)
-	s.Recovery = time.Duration(u(11)) * time.Microsecond
+	// A count of microseconds past a Duration's range would wrap, and
+	// the stats would not re-encode to what the peer sent.
+	us := u(11)
+	if us > math.MaxInt64/int64(time.Microsecond) || us < math.MinInt64/int64(time.Microsecond) {
+		return Stats{}, fmt.Errorf("registry: stats recovery of %d us overflows a duration", us)
+	}
+	s.Recovery = time.Duration(us) * time.Microsecond
 	return s, nil
 }

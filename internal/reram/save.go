@@ -11,9 +11,9 @@ import (
 
 // chipFile is the on-disk JSON envelope for a ReRAM chip. Array is
 // kept as raw JSON (the quoted base64 text) rather than a string,
-// matching the mcu and nand chip files: RawMessage's append-into-self
-// decode lets a reloading Loader recycle the payload buffer, and
-// base64 text never needs unescaping.
+// matching the mcu and nand chip files: nor.UnmarshalChipFile reads it
+// in place from a canonical file, and RawMessage's append-into-self
+// decode recycles its buffer for any other.
 type chipFile struct {
 	Format   string          `json:"format"`
 	Version  int             `json:"version"`
@@ -72,7 +72,8 @@ type Loader struct {
 // bytes Save writes); trailing data after the JSON object is rejected.
 func (l *Loader) Load(data []byte) (*Device, error) {
 	l.cf = chipFile{Array: l.cf.Array[:0]}
-	if err := json.Unmarshal(data, &l.cf); err != nil {
+	token, err := nor.UnmarshalChipFile(data, &l.cf, &l.cf.Array)
+	if err != nil {
 		return nil, fmt.Errorf("reram: decoding chip file: %w", err)
 	}
 	cf := &l.cf
@@ -94,7 +95,7 @@ func (l *Loader) Load(data []byte) (*Device, error) {
 	// Decode checks the array header against the envelope's geometry
 	// before any per-cell state is sized; the model's per-sector table
 	// waits for that check too.
-	arr, err := l.array.Decode(cf.Array, cf.Geometry)
+	arr, err := l.array.Decode(token, cf.Geometry)
 	if err != nil {
 		return nil, fmt.Errorf("reram: %w", err)
 	}

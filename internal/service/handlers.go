@@ -230,18 +230,25 @@ func (s *Server) serveVerify(ctx context.Context, req *request) ([]byte, error) 
 }
 
 // decodeBatch is /v1/verify/batch's pre-admission step: a malformed or
-// empty batch is refused before it takes an admission slot. Unmarshal
-// copies each chip element out of the recycled body (RawMessage always
-// appends into its own storage).
+// empty batch is refused before it takes an admission slot. A body of
+// canonical chip files splits without a JSON scan into elements that
+// alias the recycled body, which run releases only after serve, and so
+// the batch fan-out, has returned. Any other body goes to
+// json.Unmarshal, which copies each element (RawMessage always appends
+// into its own storage) and words every refusal.
 func decodeBatch(req *request) ([]byte, error) {
-	var br BatchRequest
-	if err := json.Unmarshal(req.raw, &br); err != nil {
-		return nil, &httpError{http.StatusBadRequest, "batch body must be {\"chips\":[...]}: " + err.Error()}
+	chips, ok := chipfile.SplitBatch(req.raw)
+	if !ok {
+		var br BatchRequest
+		if err := json.Unmarshal(req.raw, &br); err != nil {
+			return nil, &httpError{http.StatusBadRequest, "batch body must be {\"chips\":[...]}: " + err.Error()}
+		}
+		chips = br.Chips
 	}
-	if len(br.Chips) == 0 {
+	if len(chips) == 0 {
 		return nil, &httpError{http.StatusBadRequest, "batch contains no chips"}
 	}
-	req.chips = br.Chips
+	req.chips = chips
 	return nil, nil
 }
 

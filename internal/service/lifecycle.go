@@ -28,7 +28,7 @@ type endpoint struct {
 
 // request is one POST as the lifecycle hands it to its endpoint. raw is
 // the recycled body, valid only until the endpoint returns: whatever the
-// endpoint keeps or answers is copied out of it.
+// endpoint keeps or answers is copied out of it. chips may alias raw.
 type request struct {
 	w     http.ResponseWriter
 	r     *http.Request

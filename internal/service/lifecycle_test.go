@@ -38,7 +38,7 @@ func (d *hookDevice) Unlock() error {
 	return d.Device.Unlock()
 }
 
-func batchBody(t *testing.T, chips ...[]byte) []byte {
+func batchBody(t testing.TB, chips ...[]byte) []byte {
 	t.Helper()
 	var req BatchRequest
 	for _, c := range chips {
