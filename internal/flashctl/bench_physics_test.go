@@ -112,9 +112,13 @@ func BenchmarkSegmentErase(b *testing.B) {
 }
 
 // BenchmarkVerify measures one full verification extraction (partial
-// erase + 3 majority reads) of an imprinted segment.
+// erase + 3 majority reads) of an imprinted segment. Both paths decide
+// a noisy read from the same Φ bound table; the fast path also decides
+// a deferred cell's read from its margin bracket, where the reference
+// path evaluates the cell's quantile. A fast path that materializes
+// every deferred cell a noisy read touches measures about 1.7x.
 func BenchmarkVerify(b *testing.B) {
-	benchPhysPaths(b, 1.7, func(b *testing.B, ref bool) {
+	benchPhysPaths(b, 3.3, func(b *testing.B, ref bool) {
 		dev := physDevice(b, 0xE5E2, ref)
 		wm := core.ReferenceWatermark(dev.Geometry().WordsPerSegment())
 		mustImprint(b, dev, wm, 40_000)

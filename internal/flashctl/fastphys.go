@@ -17,8 +17,9 @@ package flashctl
 //
 //  2. Almost no partial-erase margin is ever *observed* at full
 //     precision: a read only needs the margin's relation to the ±6σ
-//     metastable band, a subsequent erase only needs its sign, and the
-//     next full erase discards it entirely.
+//     metastable band, a noisy read needs only to know which side of
+//     its draw Φ(m/σ) lies, a subsequent erase only needs its sign, and
+//     the next full erase discards it entirely.
 //
 // So a partial erase does not compute margins for fully-programmed
 // cells. It records, per (operation, wear) group, everything the
@@ -30,10 +31,13 @@ package flashctl
 // already-evaluated neighbors in u order, pushed through the exact
 // (monotone) float chain the reference path would have executed,
 // including the float32 store after every pulse. A bracket that decides
-// the observation costs no quantile; a bracket that straddles the
-// decision boundary materializes the cell by replaying the reference
-// arithmetic operation for operation, so the stored value — and every
-// downstream artifact — is bit-identical to the reference path.
+// the observation costs no quantile; a noisy read inside the band takes
+// its draw and is decided by Φ at the bracket's two ends
+// (mathx.NormalDrawOver). A bracket that straddles the decision
+// boundary, or a draw that falls between Φ at its ends, materializes
+// the cell by replaying the reference arithmetic operation for
+// operation, so the stored value — and every downstream artifact — is
+// bit-identical to the reference path.
 //
 // On a barely worn cell not even that is needed. Where the float32
 // store cannot see the quantile term (floatgate.PinnedMargin), the
@@ -51,14 +55,16 @@ package flashctl
 // Decorators observe identical behavior on both paths: the fast path
 // changes arithmetic inside an operation, never the operation sequence,
 // the charged times, the stats, or the noise-stream consumption (a
-// bracket decides a read only where the reference path would have
-// decided it without consuming noise).
+// bracket decides a read without a draw only where the reference path
+// would have decided it without consuming noise, and draws exactly
+// once where the reference path is certain to draw).
 
 import (
 	"math"
 	"slices"
 
 	"github.com/flashmark/flashmark/internal/floatgate"
+	"github.com/flashmark/flashmark/internal/mathx"
 	"github.com/flashmark/flashmark/internal/nor"
 )
 
@@ -389,7 +395,11 @@ func (c *Controller) deferredSign(fs *fastSeg, local int32) bool {
 // readDeferred performs one digital read of a deferred cell. Reads the
 // bracket proves to lie outside the ±6σ metastable band are decided
 // without consuming noise — exactly where SampleReadAt decides without
-// consuming noise — and only genuinely boundary reads materialize.
+// consuming noise. A bracket inside the band is one where SampleReadAt
+// is certain to draw: the read takes that draw and decides it from the
+// bracket's bounds (mathx.NormalDrawOver), materializing the cell only
+// when they cannot, to compare the same draw with its exact margin.
+// Only a bracket that straddles a band edge materializes first.
 func (c *Controller) readDeferred(fs *fastSeg, local int32) bool {
 	if fs.decStamp[local] == fs.decGen {
 		return fs.decision[local] == 1
@@ -398,15 +408,23 @@ func (c *Controller) readDeferred(fs *fastSeg, local int32) bool {
 	lo, hi := fs.marginBracket(g, local)
 	cell := fs.seg*fs.cells + int(local)
 	sigma := c.model.ReadSigmaUs(c.array.Wear(cell))
-	if lo > 6*sigma {
+	switch {
+	case lo > 6*sigma:
 		fs.decStamp[local] = fs.decGen
 		fs.decision[local] = 1
 		return true
-	}
-	if hi < -6*sigma {
+	case hi < -6*sigma:
 		fs.decStamp[local] = fs.decGen
 		fs.decision[local] = 0
 		return false
+	case -6*sigma <= lo && hi <= 6*sigma &&
+		float64(nor.MarginProgrammed) < lo && hi < float64(nor.MarginErased):
+		r := c.noise.Float64()
+		if one, ok := mathx.NormalDrawOver(r, lo, hi, sigma); ok {
+			return one
+		}
+		c.materializeCell(fs, local)
+		return mathx.NormalDraw(r, c.array.Margin(cell), sigma)
 	}
 	c.materializeCell(fs, local)
 	margin := c.array.Margin(cell)

@@ -134,12 +134,15 @@ func (m *Model) ReadDecided(marginUs float64) (one, decided bool) {
 }
 
 // SampleRead draws one digital read of a cell at the given margin using
-// the supplied noise stream.
+// the supplied noise stream: outside the ±6σ band it reads its side
+// without a draw, inside it takes one uniform draw and reads 1 when the
+// draw falls below ReadOneProbability. mathx.NormalDraw decides that
+// comparison, from its Φ bound table wherever the table settles it.
 func (m *Model) SampleRead(marginUs float64, noise *rng.Stream) bool {
 	if one, ok := m.ReadDecided(marginUs); ok {
 		return one
 	}
-	return noise.Float64() < m.ReadOneProbability(marginUs)
+	return mathx.NormalDraw(noise.Float64(), marginUs, m.params.ReadNoiseSigmaUs)
 }
 
 // ReadSigmaUs returns the effective read noise at the given wear:
@@ -155,7 +158,9 @@ func (m *Model) ReadSigmaUs(wear float64) float64 {
 }
 
 // SampleReadAt draws one digital read of a cell at the given margin and
-// wear, with beyond-endurance noise growth applied.
+// wear, with beyond-endurance noise growth applied: SampleRead's rule at
+// σ = ReadSigmaUs(wear), one draw inside ±6σ and none outside, the draw
+// decided by mathx.NormalDraw.
 func (m *Model) SampleReadAt(marginUs, wear float64, noise *rng.Stream) bool {
 	sigma := m.ReadSigmaUs(wear)
 	switch {
@@ -164,7 +169,7 @@ func (m *Model) SampleReadAt(marginUs, wear float64, noise *rng.Stream) bool {
 	case marginUs < -6*sigma:
 		return false
 	}
-	return noise.Float64() < mathx.NormalCDF(marginUs, 0, sigma)
+	return mathx.NormalDraw(noise.Float64(), marginUs, sigma)
 }
 
 // ProgTau returns the program crossing time in µs for a cell at wear w:

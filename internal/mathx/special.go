@@ -12,11 +12,97 @@ import (
 
 // NormalCDF returns Φ((x-mu)/sigma), the CDF of Normal(mu, sigma²) at x.
 func NormalCDF(x, mu, sigma float64) float64 {
-	return 0.5 * math.Erfc(-(x-mu)/(sigma*math.Sqrt2))
+	return 0.5 * math.Erfc(erfcArg(x, mu, sigma))
 }
+
+// erfcArg is the erfc argument NormalCDF evaluates: Φ at x is half the
+// erfc of it. NormalDraw bounds the same value, so the two never differ.
+func erfcArg(x, mu, sigma float64) float64 { return -(x - mu) / (sigma * math.Sqrt2) }
 
 // StdNormalCDF returns Φ(z).
 func StdNormalCDF(z float64) float64 { return 0.5 * math.Erfc(-z/math.Sqrt2) }
+
+// The Φ bound table behind NormalDraw: phiTable[j] = 0.5·math.Erfc(t_j)
+// at the dyadic points t_j = j·phiStep − phiTMax, every one an exact
+// float64. It covers the erfc arguments of a draw inside ±6σ (|t| ≤
+// 6/√2 ≈ 4.243), the only draws a noisy read takes. It is built once,
+// at package init, from the same math.Erfc NormalCDF calls, and never
+// changes.
+const (
+	phiStepLog2 = 8
+	phiStep     = 1.0 / (1 << phiStepLog2)
+	phiTMax     = 4.25
+	phiPoints   = 2*phiTMax*(1<<phiStepLog2) + 1
+
+	// phiPad widens each bound relative to the table entry: erfc is
+	// accurate to about one ulp and decreasing, so a computed
+	// 0.5·math.Erfc(t) for t in [t_j, t_j+1] lies within
+	// [phiTable[j+1], phiTable[j]] widened by far less than this.
+	phiPad = 1e-12
+)
+
+var phiTable = func() *[phiPoints]float64 {
+	var tab [phiPoints]float64
+	for j := range tab {
+		tab[j] = 0.5 * math.Erfc(float64(j)*phiStep-phiTMax)
+	}
+	return &tab
+}()
+
+// phiBounds returns bounds on 0.5·math.Erfc(s) for every s in the grid
+// interval [t_j, t_j+1] that holds t, lo taken at its right end and hi
+// at its left. ok is false for NaN, ±Inf and t off the grid. The
+// interval is checked against its grid points, not trusted from the
+// rounded index.
+func phiBounds(t float64) (lo, hi float64, ok bool) {
+	f := (t + phiTMax) * (1 << phiStepLog2)
+	if !(f >= 0 && f < phiPoints-1) {
+		return 0, 0, false
+	}
+	j := int(f)
+	tj := float64(j)*phiStep - phiTMax
+	if !(tj <= t && t <= tj+phiStep) {
+		return 0, 0, false
+	}
+	return phiTable[j+1] * (1 - phiPad), phiTable[j] * (1 + phiPad), true
+}
+
+// NormalDraw reports whether the uniform draw r falls below Φ(x/sigma),
+// exactly r < NormalCDF(x, 0, sigma), for any r, x and sigma: a noisy
+// read of a cell at margin x reads 1 when it does. Only the side of r
+// that Φ lies on matters, so the draw is decided from the two table
+// bounds around the erfc argument; erfc is evaluated only when r lands
+// between them, or when the argument is off the table.
+func NormalDraw(r, x, sigma float64) bool {
+	if lo, hi, ok := phiBounds(erfcArg(x, 0, sigma)); ok {
+		if r < lo {
+			return true
+		}
+		if r >= hi {
+			return false
+		}
+	}
+	return r < NormalCDF(x, 0, sigma)
+}
+
+// NormalDrawOver decides NormalDraw(r, x, sigma) for every x in [lo, hi]
+// at once, for a cell whose margin is known only to lie in that
+// bracket: Φ rises with x, so r below the table bound at lo reads 1 for
+// all of it, and r at or above the bound at hi reads 0. ok is false
+// when the bounds leave r undecided (then NormalDraw at the exact
+// margin decides), and also when sigma is not positive or lo > hi.
+func NormalDrawOver(r, lo, hi, sigma float64) (one, ok bool) {
+	if !(sigma > 0 && lo <= hi) {
+		return false, false
+	}
+	if plo, _, ok := phiBounds(erfcArg(lo, 0, sigma)); ok && r < plo {
+		return true, true
+	}
+	if _, phi, ok := phiBounds(erfcArg(hi, 0, sigma)); ok && r >= phi {
+		return false, true
+	}
+	return false, false
+}
 
 // StdNormalQuantile returns Φ⁻¹(p) for p in (0,1) using the
 // Beasley-Springer-Moro / Acklam rational approximation refined by one

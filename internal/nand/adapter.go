@@ -438,7 +438,10 @@ type Loader struct {
 func (l *Loader) Load(data []byte) (*Adapter, error) {
 	// Reset the envelope but keep the Array and NextPage capacity:
 	// RawMessage and slice decoding both append into the existing
-	// backing store.
+	// backing store. encoding/json leaves an element it decodes from
+	// null untouched, so the recycled cursors are zeroed first, as a
+	// fresh Loader's are.
+	clear(l.cf.NextPage[:cap(l.cf.NextPage)])
 	l.cf = nandChipFile{Array: l.cf.Array[:0], NextPage: l.cf.NextPage[:0]}
 	token, err := nor.UnmarshalChipFile(data, &l.cf, &l.cf.Array)
 	if err != nil {

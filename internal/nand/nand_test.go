@@ -2,8 +2,10 @@ package nand
 
 import (
 	"bytes"
+	"regexp"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -536,6 +538,47 @@ func TestLoaderMatchesLoadAdapter(t *testing.T) {
 	}
 	if _, err := l.Load(buf.Bytes()); err != nil {
 		t.Fatalf("Loader broken after rejections: %v", err)
+	}
+}
+
+// TestLoaderNullCursorsStartFresh: a page cursor decoded from null reads
+// 0 however warm the Loader is. encoding/json leaves such an element
+// untouched, so a Loader that reused the previous chip's cursors as they
+// were would hand equal bytes unequal devices.
+func TestLoaderNullCursorsStartFresh(t *testing.T) {
+	partial := Adapt(newNAND(t, 24))
+	if err := partial.ProgramBlock(0, make([]uint64, partial.d.Geometry().PageBytes/2)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := partial.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var l Loader
+	if _, err := l.Load(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := Adapt(newNAND(t, 25)).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cursors := regexp.MustCompile(`"nextPage":\s*\[[^\]]*\]`)
+	nulls := `"nextPage":[null` + strings.Repeat(",null", partial.d.Geometry().Blocks-1) + `]`
+	if !cursors.Match(buf.Bytes()) {
+		t.Fatal("saved chip holds no page cursors")
+	}
+	data := cursors.ReplaceAll(buf.Bytes(), []byte(nulls))
+	warm, err := l.Load(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := new(Loader).Load(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(warm.d.nextPage, fresh.d.nextPage) || slices.ContainsFunc(fresh.d.nextPage, func(p int) bool { return p != 0 }) {
+		t.Fatalf("null cursors load as %v through a warm Loader, %v through a fresh one; want all 0",
+			warm.d.nextPage, fresh.d.nextPage)
 	}
 }
 
