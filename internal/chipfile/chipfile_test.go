@@ -2,7 +2,11 @@ package chipfile_test
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -196,4 +200,76 @@ func forgedReRAMGeometry(t *testing.T, file []byte) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// cellRecord is one serialized cell of a chip file's array.
+type cellRecord struct {
+	index  uint64
+	margin float32
+	wear   float64
+}
+
+// withCells rewrites a saved chip file's array to hold exactly the
+// given cell records over the same geometry.
+func withCells(t *testing.T, file []byte, records ...cellRecord) []byte {
+	t.Helper()
+	var cf map[string]json.RawMessage
+	if err := json.Unmarshal(file, &cf); err != nil {
+		t.Fatal(err)
+	}
+	var b64 string
+	if err := json.Unmarshal(cf["array"], &b64); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := base64.StdEncoding.DecodeString(b64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = 22 // magic, version and geometry
+	out := binary.LittleEndian.AppendUint64(append([]byte(nil), raw[:header]...), uint64(len(records)))
+	for _, r := range records {
+		out = binary.LittleEndian.AppendUint64(out, r.index)
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(r.margin))
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(r.wear))
+	}
+	if cf["array"], err = json.Marshal(base64.StdEncoding.EncodeToString(out)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestLoadRefusesNonFiniteCells: every backend's loader refuses a chip
+// file whose array holds a NaN or infinite margin or a NaN or +Inf
+// wear, and names the cell. No operation leaves such a value — the
+// margin sentinels are the finite ±MaxFloat32 — and a NaN margin would
+// read as a deferral tag of the physics fast path. A file holding the
+// same cells with finite values loads.
+func TestLoadRefusesNonFiniteCells(t *testing.T) {
+	programmed := cellRecord{index: 1, margin: nor.MarginProgrammed, wear: 5}
+	bad := map[string]cellRecord{
+		"NaN margin":              {index: 3, margin: float32(math.NaN())},
+		"tag-shaped margin":       {index: 3, margin: math.Float32frombits(0x7FC00001)},
+		"+Inf margin":             {index: 3, margin: float32(math.Inf(1))},
+		"-Inf margin":             {index: 3, margin: float32(math.Inf(-1))},
+		"NaN wear":                {index: 3, margin: nor.MarginErased, wear: math.NaN()},
+		"programmed at +Inf wear": {index: 3, margin: nor.MarginProgrammed, wear: math.Inf(1)},
+	}
+	var l chipfile.Loader
+	for format, file := range savedChips(t) {
+		if _, err := l.Load(withCells(t, file, programmed, cellRecord{index: 3, margin: -2.5, wear: 7})); err != nil {
+			t.Fatalf("%s: finite cells refused: %v", format, err)
+		}
+		for name, cell := range bad {
+			_, err := l.Load(withCells(t, file, programmed, cell))
+			if err == nil {
+				t.Errorf("%s: chip file with a %s loaded", format, name)
+			} else if !strings.Contains(err.Error(), fmt.Sprintf("cell %d", cell.index)) {
+				t.Errorf("%s: %s refused without naming the cell: %v", format, name, err)
+			}
+		}
+	}
 }

@@ -14,21 +14,25 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
 	"time"
 
 	"github.com/flashmark/flashmark/internal/device"
+	"github.com/flashmark/flashmark/internal/freelist"
 )
 
-// Scratch pools for the extraction hot loop: repeated extractions (ROC
-// sweeps run thousands) reuse the all-zeros program image and the
-// per-word-bit vote counters instead of reallocating them. Only the voted
-// words of an extraction — the caller-owned result — are freshly
-// allocated; stress detection and characterization, which keep only
-// the cell counts, vote into the spent program image.
+// Scratch for the extraction hot loop: repeated extractions (ROC
+// sweeps run thousands, a verification service one per request) reuse
+// the all-zeros program image and the per-word-bit vote counters
+// instead of reallocating them. They sit on free lists, which a GC does
+// not empty, bounded to one idle buffer per CPU: a NAND block's counters
+// alone take 128 KB. Only the voted words of an extraction — the
+// caller-owned result — are freshly allocated; stress detection and
+// characterization, which keep only the cell counts, vote into the
+// spent program image.
 var (
-	zeroWordsScratch = sync.Pool{New: func() any { w := []uint64(nil); return &w }}
-	votesScratch     = sync.Pool{New: func() any { v := []int(nil); return &v }}
+	zeroWordsScratch = freelist.New(func() *[]uint64 { return new([]uint64) }, runtime.GOMAXPROCS(0))
+	votesScratch     = freelist.New(func() *[]int32 { return new([]int32) }, runtime.GOMAXPROCS(0))
 )
 
 // DefaultNPE is the imprint cycle count used when options leave it zero.
@@ -168,7 +172,7 @@ func partialEraseRound(dev device.Device, segAddr int, tPE time.Duration, reads 
 		return 0, 0, err
 	}
 	n := dev.Geometry().WordsPerSegment()
-	zp := zeroWordsScratch.Get().(*[]uint64)
+	zp := zeroWordsScratch.Get()
 	defer zeroWordsScratch.Put(zp)
 	if cap(*zp) < n {
 		*zp = make([]uint64, n)
@@ -217,10 +221,10 @@ func analyzeInto(dev device.Device, segAddr int, reads int, words []uint64) (cel
 	base := seg * geom.SegmentBytes
 	bits := geom.WordBits()
 	n := len(words)
-	vp := votesScratch.Get().(*[]int)
+	vp := votesScratch.Get()
 	defer votesScratch.Put(vp)
 	if cap(*vp) < n*bits {
-		*vp = make([]int, n*bits)
+		*vp = make([]int32, n*bits)
 	}
 	votes := (*vp)[:n*bits]
 	clear(votes)
@@ -244,7 +248,7 @@ func analyzeInto(dev device.Device, segAddr int, reads int, words []uint64) (cel
 	for w := range words {
 		var voted uint64
 		for b, c := range votes[w*bits : (w+1)*bits] {
-			if c > reads/2 {
+			if int(c) > reads/2 {
 				voted |= 1 << uint(b)
 				cells1++
 			} else {

@@ -8,7 +8,7 @@ import (
 // TestBracketDecidesNoisyReads runs one verification extraction — erase,
 // program zeros, a 25 µs partial erase, three reads of every word, word
 // by word — over a 40K-cycle imprinted segment on twin controllers, and
-// counts the Gamma quantiles the fast path's live groups evaluated. A
+// counts the Gamma quantiles the segment's deferral engine evaluated. A
 // deferred cell whose margin bracket lies inside the ±6σ band takes its
 // noise draw and is decided from the bracket's bounds; only a draw the
 // bounds cannot decide materializes the cell. Materializing every such
@@ -57,12 +57,9 @@ func TestBracketDecidesNoisyReads(t *testing.T) {
 		}
 	}
 
-	fs := fast.phys[seg]
-	evaluated := 0
-	for _, g := range fs.groups {
-		evaluated += len(g.evalPos)
-	}
-	t.Logf("%d quantiles evaluated, %d of %d cells still deferred", evaluated, fs.live, geom.CellsPerSegment())
+	e := &fast.phys[seg].def
+	evaluated := e.Stats().Quantiles
+	t.Logf("%d quantiles evaluated, %d of %d cells still deferred", evaluated, e.Live(), geom.CellsPerSegment())
 	if evaluated >= 400 {
 		t.Errorf("%d quantiles evaluated: noisy reads materialized instead of deciding from the bracket", evaluated)
 	}

@@ -41,13 +41,11 @@ type Controller struct {
 
 	// Fast-path state (see fastphys.go). physRef selects the reference
 	// per-cell path (New copies referencePhysics); phys holds
-	// per-segment deferral state; the rest is reusable scratch so
-	// steady-state operations allocate nothing.
+	// per-segment deferral engines; maxScratch keeps steady-state
+	// adaptive maxima allocation-free.
 	physRef    bool
-	phys       map[int]*fastSeg
+	phys       map[int]*segPhys
 	maxScratch floatgate.MaxTauScratch
-	gidScratch []int32
-	wearGroups []wearGroup
 }
 
 // Stats counts controller activity, like the diagnostic counters of a
@@ -260,7 +258,9 @@ func (c *Controller) segmentOf(op string, addr int) (int, error) {
 // ends deeply erased.
 func (c *Controller) eraseCells(seg int) {
 	if !c.physRef {
-		c.eraseCellsFast(seg)
+		// One pass over the contiguous spans, deferred cells resolved
+		// to their sign only.
+		c.segPhysFor(seg).def.Erase()
 		return
 	}
 	geom := c.array.Geometry()
@@ -438,8 +438,8 @@ func (c *Controller) PartialProgramSegment(addr int, pulse time.Duration) error 
 	// Partial programming inspects every margin at full precision, so any
 	// deferred fast-path margins are materialized up front (the primitive
 	// is a prior-work comparator, not on the watermark hot path).
-	if fs := c.fastSegIfLive(seg); fs != nil {
-		fs.flush(c)
+	if e := c.liveDeferral(seg); e != nil {
+		e.Flush()
 	}
 	geom := c.array.Geometry()
 	cells := geom.CellsPerSegment()
@@ -488,20 +488,19 @@ func (c *Controller) wordAddr(op string, addr int) (seg, word int, err error) {
 func (c *Controller) programWordCells(seg, word int, value uint64) {
 	geom := c.array.Geometry()
 	bits := geom.WordBits()
-	fs := c.fastSegIfLive(seg)
+	e := c.liveDeferral(seg)
 	for b := 0; b < bits; b++ {
 		if value&(1<<uint(b)) != 0 {
 			continue
 		}
 		cell := geom.CellIndex(seg, word, b)
-		if fs != nil {
-			if local := int32(cell - fs.seg*fs.cells); fs.group[local] >= 0 {
-				// Programming overwrites the pending margin unread.
-				fs.clearDeferred(local)
-			}
-		}
 		c.array.AddWear(cell, c.model.ProgramWear())
-		c.array.SetMargin(cell, float64(nor.MarginProgrammed))
+		if e != nil {
+			// Programming overwrites the pending margin unread.
+			e.Set(cell-seg*geom.CellsPerSegment(), nor.MarginProgrammed)
+		} else {
+			c.array.SetMargin(cell, float64(nor.MarginProgrammed))
+		}
 	}
 }
 
@@ -559,24 +558,22 @@ func (c *Controller) ReadWord(addr int) (uint64, error) {
 	}
 	geom := c.array.Geometry()
 	bits := geom.WordBits()
-	fs := c.fastSegIfLive(seg)
+	e := c.liveDeferral(seg)
 	cellBase := seg * geom.CellsPerSegment()
 	var v uint64
 	for b := 0; b < bits; b++ {
 		cell := geom.CellIndex(seg, word, b)
 		var one bool
-		if fs != nil && fs.group[cell-cellBase] >= 0 {
-			one = c.readDeferred(fs, int32(cell-cellBase))
-		} else {
-			margin := c.array.Margin(cell)
-			switch {
-			case margin >= float64(nor.MarginErased):
-				one = true
-			case margin <= float64(nor.MarginProgrammed):
-				one = false
-			default:
-				one = c.model.SampleReadAt(margin, c.array.Wear(cell), c.noise)
-			}
+		margin := c.array.Margin(cell)
+		switch {
+		case margin >= float64(nor.MarginErased):
+			one = true
+		case margin <= float64(nor.MarginProgrammed):
+			one = false
+		case e != nil && e.Deferred(cell-cellBase):
+			one = e.Read(cell-cellBase, c.model.ReadSigmaUs(c.array.Wear(cell)), c.noise)
+		default:
+			one = c.model.SampleReadAt(margin, c.array.Wear(cell), c.noise)
 		}
 		if one {
 			v |= 1 << uint(b)
@@ -690,16 +687,12 @@ type segmentCells struct {
 	cells int
 }
 
-func (s segmentCells) Cells() int               { return s.cells }
-func (s segmentCells) Programmed(i int) bool    { return s.c.cellProgrammed(s.seg, s.base+i) }
-func (s segmentCells) Wear(i int) float64       { return s.c.array.Wear(s.base + i) }
-func (s segmentCells) AddWear(i int, w float64) { s.c.array.AddWear(s.base+i, w) }
-func (s segmentCells) SetErased(i int) {
-	s.c.setCellMargin(s.seg, s.base+i, float64(nor.MarginErased))
-}
-func (s segmentCells) SetProgrammed(i int) {
-	s.c.setCellMargin(s.seg, s.base+i, float64(nor.MarginProgrammed))
-}
+func (s segmentCells) Cells() int                        { return s.cells }
+func (s segmentCells) Programmed(i int) bool             { return s.c.cellProgrammed(s.seg, s.base+i) }
+func (s segmentCells) Wear(i int) float64                { return s.c.array.Wear(s.base + i) }
+func (s segmentCells) AddWear(i int, w float64)          { s.c.array.AddWear(s.base+i, w) }
+func (s segmentCells) SetErased(i int)                   { s.c.setCellMargin(s.seg, s.base+i, nor.MarginErased) }
+func (s segmentCells) SetProgrammed(i int)               { s.c.setCellMargin(s.seg, s.base+i, nor.MarginProgrammed) }
 func (s segmentCells) TauAt(i int, wear float64) float64 { return s.c.cellTau(s.seg, i, wear) }
 
 // WornCellCount returns how many cells of the segment containing addr

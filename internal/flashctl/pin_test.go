@@ -10,9 +10,9 @@ import (
 // TestFreshSegmentPinsMargins drives one extraction round on a fresh
 // segment — erase, program zeros, a 25 µs partial erase, three reads of
 // every word — on twin controllers, and counts the Gamma quantiles the
-// fast path's group state can have evaluated. A group memoizes each
-// member's quantile, so it evaluates at most one per deferred member plus
-// its grid points. Before margins were pinned, every cell joined the
+// segment's deferral engine evaluated: grid points at the partial erase,
+// and then at most one per deferred cell, since a group records each
+// quantile it evaluates. Before margins were pinned, every cell joined the
 // group and such a round evaluated ~2,200 quantiles; now the float32
 // store cannot see a barely worn cell's quantile term, so the partial
 // erase stores nearly every margin outright. The reads must still match
@@ -34,6 +34,7 @@ func TestFreshSegmentPinsMargins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	grid := fast.phys[seg].def.Stats().Quantiles // no read has run yet
 	for r := 0; r < 3; r++ {
 		for w := 0; w < geom.WordsPerSegment(); w++ {
 			a := addr + w*geom.WordBytes
@@ -48,24 +49,16 @@ func TestFreshSegmentPinsMargins(t *testing.T) {
 		}
 	}
 
-	fs := fast.phys[seg]
-	deferred, grid := 0, 0
-	for _, gs := range [][]*tauGroup{fs.groups, fs.free} {
-		for _, g := range gs {
-			deferred += g.size
-			for _, q := range g.pin {
-				if q != 0 {
-					grid++
-				}
-			}
-		}
-	}
-	t.Logf("%d of %d cells deferred, %d grid quantiles", deferred, geom.CellsPerSegment(), grid)
-	if deferred > 16 {
-		t.Errorf("%d cells deferred: the partial erase pinned too few margins", deferred)
+	st := fast.phys[seg].def.Stats()
+	t.Logf("%d of %d cells deferred, %d grid quantiles, %d quantiles in all", st.Deferred, geom.CellsPerSegment(), grid, st.Quantiles)
+	if st.Deferred > 16 {
+		t.Errorf("%d cells deferred: the partial erase pinned too few margins", st.Deferred)
 	}
 	if grid > floatgate.PinGridPoints {
 		t.Errorf("%d grid quantiles for %d grid points", grid, floatgate.PinGridPoints)
+	}
+	if st.Quantiles > grid+st.Deferred {
+		t.Errorf("%d quantiles for %d grid points and %d deferred cells", st.Quantiles, grid, st.Deferred)
 	}
 	compareArrays(t, fast, ref, "after the round")
 }

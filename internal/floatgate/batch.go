@@ -2,6 +2,7 @@ package floatgate
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -179,6 +180,17 @@ func (g *PinGrid) at(env *TauEnv, j int) float64 {
 	return q
 }
 
+// evaluated counts the grid points whose quantile has been evaluated.
+func (g *PinGrid) evaluated() int {
+	n := 0
+	for _, q := range g[1:] {
+		if q != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Pin returns the margin store keeps for the cell at u when the grid
 // bracket pins it. Cells above the deepest tail point never pin.
 func (g *PinGrid) Pin(env *TauEnv, u float64, store MarginStore) (float32, bool) {
@@ -288,12 +300,91 @@ type sortScratch struct {
 
 var sortScratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
 
-// MaxTauScratch holds the reusable buffers of MaxTauGroup so steady-state
-// callers allocate nothing.
+// MaxTauScratch holds the reusable buffers of MaxTauOver and
+// MaxTauGroup so steady-state callers allocate nothing.
 type MaxTauScratch struct {
-	cand  []maxCand
-	grid  []int
-	gridQ []float64
+	cand   []maxCand
+	grid   []int
+	gridQ  []float64
+	gid    []int32
+	groups []wearGroup
+}
+
+// wearGroup is MaxTauOver's grouping of the cells that share one wear
+// value.
+type wearGroup struct {
+	key     uint64 // math.Float64bits of the wear
+	env     TauEnv
+	retUs   float64
+	members []int32 // ascending U (the uorder walk)
+}
+
+// MaxTauOver returns the largest crossing time over the cells of one
+// erase unit that include selects, cell i at wear wearOf(i), as the
+// caller's per-cell scan computes it: Model.Tau, plus the retention
+// shift at ageYears when that is positive, times tempF (NAND passes 0
+// and 1, which apply nothing). bases are the unit's cell parameters and
+// uorder their U-ascending order (SortIndexByU). The result is
+// bit-identical to the sequential scan, which starts from 0 and keeps
+// every larger value: cells sharing a wear value form a group whose max
+// MaxTauGroup finds, and the retention and temperature transform,
+// monotone, commutes with each group's max.
+func (m *Model) MaxTauOver(bases []CellBase, uorder []int32, include func(i int) bool,
+	wearOf func(i int) float64, ageYears, tempF float64, s *MaxTauScratch) float64 {
+	cells := len(bases)
+	if cap(s.gid) < cells {
+		s.gid = make([]int32, cells)
+	}
+	gid := s.gid[:cells]
+	groups := s.groups[:0]
+	lastKey, last := uint64(0), int32(-1)
+	for i := 0; i < cells; i++ {
+		if !include(i) {
+			gid[i] = -1
+			continue
+		}
+		w := wearOf(i)
+		key := math.Float64bits(w)
+		if last >= 0 && key == lastKey {
+			gid[i] = last
+			continue
+		}
+		g := int32(-1)
+		for j := range groups {
+			if groups[j].key == key {
+				g = int32(j)
+				break
+			}
+		}
+		if g < 0 {
+			// Recycle a spare slot's member slice when there is one.
+			groups = slices.Grow(groups, 1)[:len(groups)+1]
+			wg := &groups[len(groups)-1]
+			*wg = wearGroup{key: key, env: m.TauEnvAt(w), retUs: m.RetentionShiftUs(w, ageYears), members: wg.members[:0]}
+			g = int32(len(groups) - 1)
+		}
+		gid[i], lastKey, last = g, key, g
+	}
+	for _, i := range uorder {
+		if g := gid[i]; g >= 0 {
+			groups[g].members = append(groups[g].members, i)
+		}
+	}
+	best := 0.0
+	for j := range groups {
+		tau, ok := MaxTauGroup(&groups[j].env, bases, groups[j].members, s)
+		if !ok {
+			continue
+		}
+		if ageYears > 0 {
+			tau += groups[j].retUs
+		}
+		if tau *= tempF; tau > best {
+			best = tau
+		}
+	}
+	s.groups = groups
+	return best
 }
 
 type maxCand struct {

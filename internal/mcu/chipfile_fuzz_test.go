@@ -47,6 +47,8 @@ func FuzzLoadDevice(f *testing.F) {
 	// Regression: the allocation bomb (forged oversized array header).
 	f.Add(mcu.BombChipFile(4, 1<<15, 512))
 	f.Add(mcu.BombChipFile(1<<20, 1<<20, 512))
+	// Regression: non-finite cell state (a NaN margin, +Inf wear).
+	f.Add(mcu.NonFiniteChipFile())
 
 	// The other backends: a file each one's Save wrote, with one page
 	// of programmed cells.

@@ -5,7 +5,10 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
+
+	"github.com/flashmark/flashmark/internal/nor"
 )
 
 // bombChipFile builds the allocation-bomb regression input the fuzzer
@@ -17,6 +20,26 @@ func bombChipFile(banks, segs, segBytes uint32) []byte {
 	var arr bytes.Buffer
 	arr.WriteString("NORA")
 	for _, v := range []any{uint16(1), banks, segs, segBytes, uint32(2), uint64(0)} {
+		_ = binary.Write(&arr, binary.LittleEndian, v)
+	}
+	return []byte(fmt.Sprintf(
+		`{"format":"flashmark-chip","version":1,"part":"FM-SIM16","seed":1,"array":%q}`,
+		base64.StdEncoding.EncodeToString(arr.Bytes())))
+}
+
+// nonFiniteChipFile builds an FM-SIM16 chip file whose cell 0 holds a
+// programmed margin at +Inf wear and whose cell 1 a NaN margin. Such a
+// file once loaded, and an adaptive erase of its segment then charged
+// only the settle time for a cell of infinite wear; loading it must
+// fail.
+func nonFiniteChipFile() []byte {
+	geom := nor.Small()
+	var arr bytes.Buffer
+	arr.WriteString("NORA")
+	for _, v := range []any{uint16(1), uint32(geom.Banks), uint32(geom.SegmentsPerBank),
+		uint32(geom.SegmentBytes), uint32(geom.WordBytes), uint64(2),
+		uint64(0), nor.MarginProgrammed, math.Inf(1),
+		uint64(1), float32(math.NaN()), float64(0)} {
 		_ = binary.Write(&arr, binary.LittleEndian, v)
 	}
 	return []byte(fmt.Sprintf(

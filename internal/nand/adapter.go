@@ -351,14 +351,14 @@ type blockCells struct {
 	cells int
 }
 
-func (b blockCells) Cells() int               { return b.cells }
-func (b blockCells) Programmed(i int) bool    { return b.d.cells.Programmed(b.base + i) }
-func (b blockCells) Wear(i int) float64       { return b.d.cells.Wear(b.base + i) }
-func (b blockCells) AddWear(i int, w float64) { b.d.cells.AddWear(b.base+i, w) }
-func (b blockCells) SetErased(i int)          { b.d.cells.SetMargin(b.base+i, float64(nor.MarginErased)) }
-func (b blockCells) SetProgrammed(i int) {
-	b.d.cells.SetMargin(b.base+i, float64(nor.MarginProgrammed))
-}
+// Margins go through the block's engine, which resolves and drops
+// deferrals.
+func (b blockCells) Cells() int                        { return b.cells }
+func (b blockCells) Programmed(i int) bool             { return b.d.deferred[b.block].Programmed(i) }
+func (b blockCells) Wear(i int) float64                { return b.d.cells.Wear(b.base + i) }
+func (b blockCells) AddWear(i int, w float64)          { b.d.cells.AddWear(b.base+i, w) }
+func (b blockCells) SetErased(i int)                   { b.d.deferred[b.block].Set(i, nor.MarginErased) }
+func (b blockCells) SetProgrammed(i int)               { b.d.deferred[b.block].Set(i, nor.MarginProgrammed) }
 func (b blockCells) TauAt(i int, wear float64) float64 { return b.d.model.TauAt(b.block, i, wear) }
 
 // MaxTauOver rides the device's batched pruned max (device.AdaptiveMaxer);
@@ -390,9 +390,9 @@ const ChipFormat = "flashmark-nand-chip"
 const nandChipVersion = 1
 
 // Save writes the chip state (geometry, timing, physics, seed, cell
-// margins and wear) to w.
+// margins and wear) to w, materializing every deferred margin first.
 func (a *Adapter) Save(w io.Writer) error {
-	return nor.SaveChip(w, a.d.cells, func(array json.RawMessage) any {
+	return nor.SaveChip(w, a.d.array(), func(array json.RawMessage) any {
 		return nandChipFile{
 			Format:   ChipFormat,
 			Version:  nandChipVersion,
@@ -420,15 +420,16 @@ func LoadAdapter(r io.Reader) (*Adapter, error) {
 
 // Loader reconstructs NAND chips from Save output, recycling the JSON
 // envelope, the binary array form, the cell array, the page-cursor
-// slice and the adapter's page buffers across loads — the NAND
-// counterpart of mcu.Loader. The zero value is ready. A Loader is not
-// safe for concurrent use, and the adapter it returns aliases the
-// loader's storage: the next Load invalidates every previously returned
-// adapter.
+// slice, the blocks' deferral engines and the adapter's page buffers
+// across loads — the NAND counterpart of mcu.Loader. The zero value is
+// ready. A Loader is not safe for concurrent use, and the adapter it
+// returns aliases the loader's storage: the next Load invalidates every
+// previously returned adapter.
 type Loader struct {
 	cf       nandChipFile
 	array    nor.ChipArray
 	nextPage []int
+	deferred []floatgate.Deferral
 	page     []byte
 	served   []bool
 }
@@ -481,7 +482,10 @@ func (l *Loader) Load(data []byte) (*Adapter, error) {
 	}
 	next := l.nextPage[:cf.Geometry.Blocks]
 	copy(next, cf.NextPage)
-	a := Adapt(newDevice(cf.Geometry, cf.Timing, cf.Params, cf.Seed, model, arr, next))
+	if cap(l.deferred) < cf.Geometry.Blocks {
+		l.deferred = make([]floatgate.Deferral, cf.Geometry.Blocks)
+	}
+	a := Adapt(newDevice(cf.Geometry, cf.Timing, cf.Params, cf.Seed, model, arr, next, l.deferred[:cf.Geometry.Blocks]))
 	// The page buffers are recycled too. Adapt starts with no page
 	// cached, so the first read refills them for this chip.
 	n := cf.Geometry.PageBytes

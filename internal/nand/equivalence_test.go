@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,13 +11,18 @@ import (
 	"github.com/flashmark/flashmark/internal/floatgate"
 )
 
-// Differential fuzz of the NAND batched physics (per-block base cache,
-// wear-grouped TauEnv, pruned adaptive max) against the per-cell
-// reference loops: twin devices run one seeded-random op sequence and
-// every observable — adaptive pulses, page reads, final margins and
-// wear to the bit, virtual time — must match. Stress ops carry blocks
-// to imprint wear, so partial erases meet both the die-sort wear whose
-// margins the fast path pins and the watermark wear where it pins none.
+// Differential fuzz of the NAND batched physics (the blocks' deferral
+// engines, the per-block base cache, the pruned adaptive max) against
+// the per-cell reference loops: twin devices run one seeded-random op
+// sequence and every observable — adaptive pulses, page reads, final
+// margins and wear to the bit, virtual time — must match. Stress ops
+// carry blocks to imprint wear, so partial erases meet both the
+// die-sort wear whose margins the fast path pins and the watermark wear
+// where it pins none. Reads and adaptive pulses are compared op by op,
+// which pins the noise-stream position; margins only now and then,
+// because the comparison flushes the engines, and comparing after every
+// op would keep deferred cells from ever meeting a later pulse,
+// program, erase, stress or adaptive erase.
 
 func twinNANDs(t *testing.T, seed uint64) (fast, ref *Device) {
 	t.Helper()
@@ -36,15 +42,17 @@ func twinNANDs(t *testing.T, seed uint64) (fast, ref *Device) {
 }
 
 // compareCells asserts bit-identical margins and wear over cells
-// [from, to) of the twins.
+// [from, to) of the twins. It reads through array(), which
+// materializes every deferred margin, so it sees final state.
 func compareCells(t *testing.T, fast, ref *Device, from, to int) {
 	t.Helper()
+	fa, ra := fast.array(), ref.array()
 	for i := from; i < to; i++ {
-		fm, rm := fast.cells.Margin(i), ref.cells.Margin(i)
+		fm, rm := fa.Margin(i), ra.Margin(i)
 		if math.Float64bits(fm) != math.Float64bits(rm) {
 			t.Fatalf("cell %d margin fast=%v ref=%v", i, fm, rm)
 		}
-		fw, rw := fast.cells.Wear(i), ref.cells.Wear(i)
+		fw, rw := fa.Wear(i), ra.Wear(i)
 		if math.Float64bits(fw) != math.Float64bits(rw) {
 			t.Fatalf("cell %d wear fast=%v ref=%v", i, fw, rw)
 		}
@@ -93,9 +101,6 @@ func TestNANDFastPathMatchesReference(t *testing.T) {
 				if e1, e2 := fast.PartialEraseBlock(block, pulse), ref.PartialEraseBlock(block, pulse); e1 != nil || e2 != nil {
 					t.Fatal(e1, e2)
 				}
-				// A later erase would discard the stored margins, and a
-				// read rarely shows a one-ulp slip: compare them now.
-				compareCells(t, fast, ref, block*geom.CellsPerBlock(), (block+1)*geom.CellsPerBlock())
 			case 4:
 				// Fill in-order pages after a fresh erase (NAND discipline).
 				if e1, e2 := fast.EraseBlock(block), ref.EraseBlock(block); e1 != nil || e2 != nil {
@@ -135,6 +140,11 @@ func TestNANDFastPathMatchesReference(t *testing.T) {
 				stressBlock(fast, block, one, n)
 				stressBlock(ref, block, one, n)
 			}
+			// A later erase discards margins, and a read rarely shows a
+			// one-ulp slip, so compare them now and then.
+			if op%41 == 40 {
+				compareCells(t, fast, ref, 0, geom.Blocks*geom.CellsPerBlock())
+			}
 		}
 		// Final state to the bit.
 		compareCells(t, fast, ref, 0, geom.Blocks*geom.CellsPerBlock())
@@ -147,7 +157,8 @@ func TestNANDFastPathMatchesReference(t *testing.T) {
 // TestNANDFreshBlockPinsMargins: the recycling screen's measurement on a
 // fresh block — erase, program every page to zeros, a 25 µs partial
 // erase — pins nearly every margin from its wear group's quantile grid,
-// and stores exactly the reference margins.
+// so the block's engine defers almost none, and stores exactly the
+// reference margins.
 func TestNANDFreshBlockPinsMargins(t *testing.T) {
 	fast, ref := twinNANDs(t, 0x4E9)
 	geom := fast.Geometry()
@@ -168,24 +179,11 @@ func TestNANDFreshBlockPinsMargins(t *testing.T) {
 		}
 	}
 	cells := geom.CellsPerBlock()
+	// Before any read, the engine has evaluated grid quantiles only.
+	st := fast.deferred[block].Stats()
+	pinned, grid := cells-st.Deferred, st.Quantiles
 	compareCells(t, fast, ref, block*cells, (block+1)*cells)
 
-	if len(fast.peScratch) != 1 || !fast.peScratch[0].pinOn {
-		t.Fatalf("want one wear group with pins on, got %d groups", len(fast.peScratch))
-	}
-	g := &fast.peScratch[0]
-	pinned := 0
-	for i := 0; i < cells; i++ {
-		if _, ok := g.pinned(fast.model.Base(block, i), pulseUs); ok {
-			pinned++
-		}
-	}
-	grid := 0
-	for _, q := range g.pin {
-		if q != 0 {
-			grid++
-		}
-	}
 	t.Logf("%d of %d margins pinned, %d grid quantiles", pinned, cells, grid)
 	if pinned < cells*99/100 {
 		t.Errorf("%d of %d margins pinned, want at least 99%%", pinned, cells)
@@ -193,4 +191,33 @@ func TestNANDFreshBlockPinsMargins(t *testing.T) {
 	if grid > floatgate.PinGridPoints {
 		t.Errorf("%d grid quantiles for %d grid points", grid, floatgate.PinGridPoints)
 	}
+}
+
+// TestSaveFlushesDeferredMargins: a chip saved right after a partial
+// erase of a worn block, while its engine holds deferred margins, must
+// reload to the reference margins: Save materializes every deferral,
+// so no tag reaches a chip file.
+func TestSaveFlushesDeferredMargins(t *testing.T) {
+	fast, ref := twinNANDs(t, 0x4EA)
+	geom := fast.Geometry()
+	const block = 1
+	pattern := func(i int) bool { return i%3 == 0 }
+	for _, d := range []*Device{fast, ref} {
+		stressBlock(d, block, pattern, 40_000)
+		if err := d.PartialEraseBlock(block, 25*time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if live := fast.deferred[block].Live(); live == 0 {
+		t.Fatal("the partial erase deferred no margin: the test checks nothing")
+	}
+	var buf bytes.Buffer
+	if err := Adapt(fast).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadAdapter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareCells(t, back.d, ref, 0, geom.Blocks*geom.CellsPerBlock())
 }

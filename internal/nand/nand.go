@@ -105,19 +105,18 @@ type Device struct {
 	// a value of PagesPerBlock means the block is full.
 	nextPage []int
 
-	// Batched physics state (fastphys.go). bases/uorder cache the
+	// Batched physics state (fastphys.go). deferred holds one deferral
+	// engine per block, bound to its cells; bases/uorder cache the
 	// immutable per-cell parameters per block for the adaptive-erase max
-	// (a partial erase reuses bases if present); the scratch slices keep
-	// steady-state batched ops allocation-free. physRef selects the
+	// (the block's engine reads bases once present); maxScratch keeps
+	// steady-state adaptive maxima allocation-free. physRef selects the
 	// per-cell reference loops instead (newDevice copies
 	// referencePhysics).
 	physRef    bool
+	deferred   []floatgate.Deferral
 	bases      [][]floatgate.CellBase
 	uorder     [][]int32
 	maxScratch floatgate.MaxTauScratch
-	gidScratch []int32
-	wgScratch  []nandWearGroup
-	peScratch  []peGroup
 }
 
 // norGeomFor maps a NAND geometry onto the nor.Array cell store: one
@@ -139,9 +138,14 @@ var referencePhysics bool
 
 // newDevice assembles a Device from already-validated parts. Callers
 // own validation and the cell store: NewDevice allocates fresh state,
-// while Loader.Load supplies recycled cells and page cursors.
+// while Loader.Load supplies recycled cells, page cursors and deferral
+// engines (one per block), which newDevice binds to the blocks' cells.
 func newDevice(geom Geometry, timing Timing, params floatgate.Params, seed uint64,
-	model *floatgate.Model, cells *nor.Array, nextPage []int) *Device {
+	model *floatgate.Model, cells *nor.Array, nextPage []int, deferred []floatgate.Deferral) *Device {
+	for b := range deferred {
+		margins, wear := cells.CellSpan(b)
+		deferred[b].Bind(model, b, margins, wear)
+	}
 	return &Device{
 		geom:     geom,
 		timing:   timing,
@@ -154,6 +158,7 @@ func newDevice(geom Geometry, timing Timing, params floatgate.Params, seed uint6
 		noise:    rng.New(seed ^ 0x4E414E44),
 		nextPage: nextPage,
 		physRef:  referencePhysics,
+		deferred: deferred,
 	}
 }
 
@@ -174,7 +179,8 @@ func NewDevice(geom Geometry, timing Timing, params floatgate.Params, seed uint6
 	if err != nil {
 		return nil, err
 	}
-	return newDevice(geom, timing, params, seed, model, arr, make([]int, geom.Blocks)), nil
+	return newDevice(geom, timing, params, seed, model, arr,
+		make([]int, geom.Blocks), make([]floatgate.Deferral, geom.Blocks)), nil
 }
 
 // Geometry returns the device geometry.
@@ -212,27 +218,11 @@ func (d *Device) EraseBlock(block int) error {
 	if err := d.checkBlock(block); err != nil {
 		return err
 	}
-	d.eraseBlockCells(block)
+	d.deferred[block].Erase()
 	d.nextPage[block] = 0
 	d.charge(vclock.OpOverhead, d.timing.OpSetup)
 	d.charge(vclock.OpErase, d.timing.BlockErase)
 	return nil
-}
-
-func (d *Device) eraseBlockCells(block int) {
-	// One pass over the contiguous span; same EraseWear increments and
-	// margin stores as the per-cell accessor loop.
-	margins, wear := d.cells.CellSpan(block)
-	fullWear := d.model.EraseWear(true)
-	eraseOnly := d.model.EraseWear(false)
-	for i := range margins {
-		if margins[i] < 0 {
-			wear[i] += fullWear
-		} else {
-			wear[i] += eraseOnly
-		}
-		margins[i] = nor.MarginErased
-	}
 }
 
 // EraseBlockAdaptive erases a block but exits as soon as the slowest
@@ -243,9 +233,8 @@ func (d *Device) EraseBlockAdaptive(block int) (time.Duration, error) {
 	}
 	maxTau := 0.0
 	if !d.physRef {
-		margins, wear := d.cells.CellSpan(block)
-		maxTau, _ = d.maxTauOver(block,
-			func(i int) bool { return margins[i] < 0 },
+		_, wear := d.cells.CellSpan(block)
+		maxTau, _ = d.maxTauOver(block, d.deferred[block].Programmed,
 			func(i int) float64 { return wear[i] })
 	} else {
 		cells := d.geom.CellsPerBlock()
@@ -260,7 +249,7 @@ func (d *Device) EraseBlockAdaptive(block int) (time.Duration, error) {
 			}
 		}
 	}
-	d.eraseBlockCells(block)
+	d.deferred[block].Erase()
 	d.nextPage[block] = 0
 	pulse := time.Duration(maxTau*float64(time.Microsecond)) + d.timing.AdaptiveEraseSettle
 	if pulse > d.timing.BlockErase {
@@ -286,7 +275,7 @@ func (d *Device) PartialEraseBlock(block int, pulse time.Duration) error {
 	}
 	pulseUs := float64(pulse) / float64(time.Microsecond)
 	if !d.physRef {
-		d.partialEraseBlockFast(block, pulseUs)
+		d.deferred[block].PartialErase(pulseUs, 0, 1)
 	} else {
 		cells := d.geom.CellsPerBlock()
 		base := block * cells
@@ -331,6 +320,7 @@ func (d *Device) ProgramPage(block, page int, data []byte) error {
 		return fmt.Errorf("nand: out-of-order program of page %d (next allowed %d); erase the block to rewind",
 			page, d.nextPage[block])
 	}
+	e := &d.deferred[block]
 	for byteIdx, b := range data {
 		for bit := 0; bit < 8; bit++ {
 			if b&(1<<uint(bit)) != 0 {
@@ -338,7 +328,7 @@ func (d *Device) ProgramPage(block, page int, data []byte) error {
 			}
 			cell := d.cellIndex(block, page, byteIdx*8+bit)
 			d.cells.AddWear(cell, d.model.ProgramWear())
-			d.cells.SetMargin(cell, float64(nor.MarginProgrammed))
+			e.Set(cell-block*d.geom.CellsPerBlock(), nor.MarginProgrammed)
 		}
 	}
 	d.nextPage[block] = page + 1
@@ -370,17 +360,22 @@ func (d *Device) ReadPageInto(block, page int, dst []byte) ([]byte, error) {
 	}
 	dst = dst[:n]
 	margins, _ := d.cells.CellSpan(block)
+	e := &d.deferred[block]
+	sigma := d.params.ReadNoiseSigmaUs // the nominal noise SampleRead reads at
 	pageBase := page * d.geom.CellsPerPage()
 	for byteIdx := range dst {
 		var b byte
 		for bit := 0; bit < 8; bit++ {
-			margin := margins[pageBase+byteIdx*8+bit]
+			i := pageBase + byteIdx*8 + bit
+			margin := margins[i]
 			var one bool
 			switch {
 			case margin >= nor.MarginErased:
 				one = true
 			case margin <= nor.MarginProgrammed:
 				one = false
+			case e.Deferred(i):
+				one = e.Read(i, sigma, d.noise)
 			default:
 				one = d.model.SampleRead(float64(margin), d.noise)
 			}

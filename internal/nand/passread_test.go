@@ -48,8 +48,9 @@ func TestPassReadsAreIndependentDraws(t *testing.T) {
 	var got, want, variance [nbins]float64
 	var chi2 float64
 	cells := 0
+	arr := a.d.array() // deferred margins materialized
 	for c, k := range ones {
-		p := a.d.model.ReadOneProbability(a.d.cells.Margin(c))
+		p := a.d.model.ReadOneProbability(arr.Margin(c))
 		if p < 0.02 || p > 0.98 {
 			continue
 		}

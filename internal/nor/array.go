@@ -299,8 +299,17 @@ func UnmarshalArrayInto(dst *Array, data []byte) (*Array, error) {
 		}
 		w := math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
 		off += 8
+		// The margin sentinels are finite, and every operation keeps
+		// margins and wear finite: a NaN or infinite value is no cell
+		// state (and a NaN margin would read as a deferral tag).
+		if math.IsNaN(float64(m)) || math.IsInf(float64(m), 0) {
+			return nil, fmt.Errorf("nor: non-finite margin %v in serialized cell %d", m, idx)
+		}
 		if w < 0 {
 			return nil, fmt.Errorf("nor: negative wear %v in serialized cell %d", w, idx)
+		}
+		if math.IsNaN(w) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("nor: non-finite wear %v in serialized cell %d", w, idx)
 		}
 		a.margin[idx] = m
 		a.wear[idx] = w

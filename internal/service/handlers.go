@@ -12,6 +12,7 @@ import (
 	"github.com/flashmark/flashmark/internal/chipfile"
 	"github.com/flashmark/flashmark/internal/counterfeit"
 	"github.com/flashmark/flashmark/internal/device"
+	"github.com/flashmark/flashmark/internal/freelist"
 	"github.com/flashmark/flashmark/internal/parallel"
 )
 
@@ -76,15 +77,15 @@ type BatchResponse struct {
 // every Server in the process, like bodyScratch: a loader holds no
 // server state, and a per-Server list would give each new Server its
 // own set of multi-megabyte cell arrays.
-var chipLoaders = freeList[chipfile.Loader]{fresh: func() *chipfile.Loader { return new(chipfile.Loader) }}
+var chipLoaders = freelist.New(func() *chipfile.Loader { return new(chipfile.Loader) }, 0)
 
 // withChip loads raw through a recycled dispatcher, applies the
 // configured decorator, and runs use on the device. The device aliases
 // the loader's storage, so the loader returns to chipLoaders only after
 // use does; use must not keep the device.
 func (s *Server) withChip(raw []byte, use func(device.Device) error) error {
-	ld := chipLoaders.get()
-	defer chipLoaders.put(ld)
+	ld := chipLoaders.Get()
+	defer chipLoaders.Put(ld)
 	dev, err := ld.Load(raw)
 	if err != nil {
 		return &httpError{http.StatusBadRequest, err.Error()}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/flashmark/flashmark/internal/freelist"
 	"github.com/flashmark/flashmark/internal/parallel"
 )
 
@@ -186,13 +187,13 @@ func (s *Server) beginRequest() bool {
 // dominant body (one chip file, ~100 KB of base64 for NOR, ~1 MB for
 // NAND) is read into recycled capacity instead of a fresh io.ReadAll
 // allocation chain per request.
-var bodyScratch = freeList[[]byte]{fresh: func() *[]byte { b := make([]byte, 0, 64<<10); return &b }}
+var bodyScratch = freelist.New(func() *[]byte { b := make([]byte, 0, 64<<10); return &b }, 0)
 
 // readBody drains the request body under the configured cap into a
 // buffer from bodyScratch. On success the caller owns the buffer until
 // it passes it to releaseBody; the bytes must not be retained past it.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, error) {
-	bp := bodyScratch.get()
+	bp := bodyScratch.Get()
 	buf := (*bp)[:0]
 	lr := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	for {
@@ -222,5 +223,5 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, erro
 // to bodyScratch.
 func releaseBody(bp *[]byte) {
 	*bp = (*bp)[:0]
-	bodyScratch.put(bp)
+	bodyScratch.Put(bp)
 }

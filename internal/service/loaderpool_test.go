@@ -77,26 +77,3 @@ func TestServersShareLoaderPool(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestFreeListBound: a free list hands back what was put, newest first,
-// keeps no more idle values than its largest reserve, and makes a fresh
-// value when it is empty.
-func TestFreeListBound(t *testing.T) {
-	made := 0
-	f := freeList[int]{fresh: func() *int { made++; return new(int) }}
-	f.reserve(2)
-	f.reserve(1) // a smaller worker count does not shrink the bound
-	a, b, c := new(int), new(int), new(int)
-	f.put(a)
-	f.put(b)
-	f.put(c) // over the bound: dropped
-	if got := f.get(); got != b {
-		t.Fatal("get did not return the newest idle value")
-	}
-	if got := f.get(); got != a {
-		t.Fatal("get did not return the older idle value")
-	}
-	if f.get(); made != 1 {
-		t.Fatalf("an empty list made %d values, want 1", made)
-	}
-}

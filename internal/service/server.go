@@ -213,8 +213,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 	// Keep one idle loader and body buffer per worker across GCs.
-	chipLoaders.reserve(cfg.Workers)
-	bodyScratch.reserve(cfg.Workers)
+	chipLoaders.Reserve(cfg.Workers)
+	bodyScratch.Reserve(cfg.Workers)
 	s := &Server{
 		cfg:      cfg,
 		reg:      metrics.NewRegistry(),
