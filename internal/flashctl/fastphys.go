@@ -8,8 +8,9 @@ package flashctl
 // (floatgate.Deferral, shared with the NAND device): it defers the
 // Gamma quantile of every fully programmed cell that its quantile grid
 // does not pin, and later reads, sign queries, erases and programs ask
-// the engine, which decides each from margin brackets and materializes
-// a cell only when a bracket cannot decide. The controller passes the
+// the engine, which decides each from margin brackets (a noisy re-read
+// from the draw window its first read stored) and materializes a cell
+// only when a bracket cannot decide. The controller passes the
 // values that set NOR apart: the chip's storage age and the ambient
 // temperature factor its crossing time carries, and each read's
 // σ = ReadSigmaUs(wear). The adaptive-erase max rides the shared

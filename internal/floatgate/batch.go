@@ -328,7 +328,10 @@ type wearGroup struct {
 // bit-identical to the sequential scan, which starts from 0 and keeps
 // every larger value: cells sharing a wear value form a group whose max
 // MaxTauGroup finds, and the retention and temperature transform,
-// monotone, commutes with each group's max.
+// monotone, commutes with each group's max. Past maxGroups groups, a
+// cell with a new wear value joins none and its crossing time is taken
+// on its own, so the group scan stays short whatever wear values a chip
+// file carries.
 func (m *Model) MaxTauOver(bases []CellBase, uorder []int32, include func(i int) bool,
 	wearOf func(i int) float64, ageYears, tempF float64, s *MaxTauScratch) float64 {
 	cells := len(bases)
@@ -337,6 +340,7 @@ func (m *Model) MaxTauOver(bases []CellBase, uorder []int32, include func(i int)
 	}
 	gid := s.gid[:cells]
 	groups := s.groups[:0]
+	best := 0.0
 	lastKey, last := uint64(0), int32(-1)
 	for i := 0; i < cells; i++ {
 		if !include(i) {
@@ -356,7 +360,14 @@ func (m *Model) MaxTauOver(bases []CellBase, uorder []int32, include func(i int)
 				break
 			}
 		}
-		if g < 0 {
+		switch {
+		case g < 0 && len(groups) >= maxGroups:
+			gid[i] = -1
+			if tau := m.crossingTau(bases[i], w, ageYears, tempF); tau > best {
+				best = tau
+			}
+			continue
+		case g < 0:
 			// Recycle a spare slot's member slice when there is one.
 			groups = slices.Grow(groups, 1)[:len(groups)+1]
 			wg := &groups[len(groups)-1]
@@ -370,7 +381,6 @@ func (m *Model) MaxTauOver(bases []CellBase, uorder []int32, include func(i int)
 			groups[g].members = append(groups[g].members, i)
 		}
 	}
-	best := 0.0
 	for j := range groups {
 		tau, ok := MaxTauGroup(&groups[j].env, bases, groups[j].members, s)
 		if !ok {
@@ -385,6 +395,17 @@ func (m *Model) MaxTauOver(bases []CellBase, uorder []int32, include func(i int)
 	}
 	s.groups = groups
 	return best
+}
+
+// crossingTau is a cell's crossing time as the per-cell reference paths
+// compute it: Model.Tau, plus the retention shift at ageYears when that
+// is positive, times the temperature factor tempF.
+func (m *Model) crossingTau(base CellBase, wear, ageYears, tempF float64) float64 {
+	tau := m.Tau(base, wear)
+	if ageYears > 0 {
+		tau += m.RetentionShiftUs(wear, ageYears)
+	}
+	return tau * tempF
 }
 
 type maxCand struct {

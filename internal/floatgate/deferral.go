@@ -32,7 +32,7 @@ package floatgate
 // path would have stored (nor.ClampMargin after the deferring pulse and
 // after each later one). A bracket that decides the observation costs
 // no quantile. A noisy read inside the band takes its one draw and is
-// decided from Φ at the bracket's two ends (mathx.NormalDrawOver). A
+// decided from Φ at the bracket's two ends (mathx.PhiOver). A
 // bracket that straddles the decision boundary, or a draw that falls
 // between Φ at its ends, materializes the cell: the reference
 // arithmetic replayed operation for operation, so the stored value, and
@@ -55,15 +55,34 @@ package floatgate
 // is certain to draw, comparing that same draw with the materialized
 // margin when its bracket cannot decide it.
 //
+// Without the owner's cached bases, a cell's base is derived where it
+// is needed, and the engine needs it as little as it can. A partial
+// erase that defers a cell in a group where nothing pins needs only the
+// cell's U, for the group's top, and derives U alone (Model.BaseU); the
+// full base waits for the first read that needs the cell's bracket. A
+// read whose bracket lies inside the band stores a draw window in the
+// tag: the dyadic interval [k, k+w)/2^11, w 2 or 32 steps, that holds
+// Φ at both of the bracket's ends. Each later read of the cell takes
+// its draw and decides it from the window alone, without the base or
+// the bracket, unless the draw falls inside the window. The bracket
+// only tightens until the next partial erase, which voids the window,
+// so the window holds Φ at every margin the cell can still materialize
+// to.
+//
 // The deferral lives in the margin slot it replaces, so the engine
 // keeps no per-cell state. A deferred cell's float32 margin holds a
-// positive quiet NaN whose payload names the cell's group (plus one,
-// so the payload is never zero) and caches its read decision. No
+// positive quiet NaN (bits 31–22) whose payload caches its read
+// decision (bits 21–20: undecided, reads 0, reads 1, or draws) and its
+// draw window (bit 19 for the wide width, k in bits 18–8) and names its
+// group plus one (bits 7–0, so the payload is never zero). No
 // arithmetic on finite values yields such a NaN (IEEE operations give
 // the default NaN, whose payload is zero), and the chip-file loaders
-// refuse NaN margins, so nothing but the engine writes one. A tag
-// never leaves the engine: its owners flush it before any caller sees
-// the array, and every path that reads a raw margin asks the engine.
+// refuse NaN margins, so nothing but the engine writes one. A tag never
+// leaves the engine: its owners flush it before any caller sees the
+// array, and every path that reads a raw margin asks the engine. A
+// unit names at most maxGroups groups; past that bound, and so whatever
+// wear values a chip file carries, a programmed cell's margin is stored
+// eagerly with the reference arithmetic.
 
 import (
 	"math"
@@ -83,8 +102,18 @@ const (
 	decMask  = 3 << decShift
 	decZero  = 1 << decShift // a read proved to read 0 without noise
 	decOne   = 2 << decShift // a read proved to read 1 without noise
+	decDraws = 3 << decShift // a read draws; its draw window decides most draws
 
-	groupMask = 1<<decShift - 1 // group id plus one
+	// A draw window is [k, k+w)/winSteps, w narrowSteps or, with
+	// wideBit, wideSteps: a draw below it reads 1, one at or above it 0.
+	winShift    = 8
+	winMask     = 1<<decShift - 1<<winShift // wideBit and k
+	wideBit     = 1 << (decShift - 1)
+	winSteps    = 1 << (decShift - 1 - winShift)
+	narrowSteps = 2
+	wideSteps   = 32
+
+	groupMask = 1<<winShift - 1 // group id plus one
 	maxGroups = groupMask       // ids a tag can name
 )
 
@@ -95,6 +124,31 @@ func isTag(m float32) bool {
 }
 
 func tagOf(group int) float32 { return math.Float32frombits(tagValue | uint32(group+1)) }
+
+// windowFor returns the draw-window bits for a bracket whose Φ bounds
+// (mathx.PhiOver) are [plo, phi]: k = ⌊plo·winSteps⌋ and the narrower
+// width whose window reaches phi. ok is false when neither reaches it.
+func windowFor(plo, phi float64) (bits uint32, ok bool) {
+	k := math.Floor(plo * winSteps)
+	switch {
+	case !(k < winSteps):
+		return 0, false
+	case k+narrowSteps >= phi*winSteps:
+		return uint32(k) << winShift, true
+	case k+wideSteps >= phi*winSteps:
+		return uint32(k)<<winShift | wideBit, true
+	}
+	return 0, false
+}
+
+// windowOf returns the draw window [lo, hi) the tag bits b hold.
+func windowOf(b uint32) (lo, hi float64) {
+	k, w := float64((b&winMask&^wideBit)>>winShift), float64(narrowSteps)
+	if b&wideBit != 0 {
+		w = wideSteps
+	}
+	return k / winSteps, (k + w) / winSteps
+}
 
 // Deferral is the deferred partial-erase state of one erase unit: its
 // live groups, its pulse log and the tags in its margin slots. The zero
@@ -142,11 +196,14 @@ type deferGroup struct {
 type quantileU struct{ u, q float64 }
 
 // DeferStats counts a Deferral's work since it was bound: the cells its
-// partial erases deferred, and the Gamma quantiles it evaluated, grid
-// points included.
+// partial erases deferred, the Gamma quantiles it evaluated (grid points
+// included), the full cell bases it derived (none once it has the
+// unit's cached bases), and the reads it decided from a draw window.
 type DeferStats struct {
-	Deferred  int
-	Quantiles int
+	Deferred    int
+	Quantiles   int
+	Bases       int
+	WindowReads int
 }
 
 // Bind points the engine at one erase unit — margin and wear spans that
@@ -184,7 +241,15 @@ func (d *Deferral) base(i int) CellBase {
 	if d.bases != nil {
 		return d.bases[i]
 	}
+	d.stats.Bases++
 	return d.model.Base(d.unit, i)
+}
+
+func (d *Deferral) baseU(i int) float64 {
+	if d.bases != nil {
+		return d.bases[i].U
+	}
+	return d.model.BaseU(d.unit, i)
 }
 
 // reset retires every group, recycling its storage. Only a unit with
@@ -200,13 +265,18 @@ func (d *Deferral) reset() {
 
 // groupFor returns this operation's group for wear w — the groups from
 // index from on are the operation's own — building it on the wear
-// value's first appearance.
+// value's first appearance. Once the unit holds maxGroups groups a new
+// wear value gets none (nil): no tag could name it, and the bound keeps
+// the scan short whatever wear values a chip file carries.
 func (d *Deferral) groupFor(w float64, from int, pulseUs, ageYears, tempF float64) (*deferGroup, int) {
 	key := math.Float64bits(w)
 	for j := from; j < len(d.groups); j++ {
 		if d.groups[j].wearKey == key {
 			return d.groups[j], j
 		}
+	}
+	if len(d.groups) >= maxGroups {
+		return nil, -1
 	}
 	var g *deferGroup
 	if n := len(d.free); n > 0 {
@@ -397,9 +467,12 @@ func (d *Deferral) Set(i int, v float32) {
 // the band decides without noise, and the decision stays in the tag
 // until the next partial erase moves the margin. A bracket inside the
 // band is one where the reference read is certain to draw: the read
-// takes that draw and decides it from the bracket's ends, materializing
+// stores the draw window that holds Φ over the bracket when one does,
+// takes the draw and decides it from the bracket's ends, materializing
 // the cell only when they cannot, to compare the same draw with its
-// exact margin. Only a bracket that straddles a band edge materializes
+// exact margin. A later read of a windowed cell decides its draw from
+// the window, and falls back to the bracket with that same draw only
+// inside it. Only a bracket that straddles a band edge materializes
 // first.
 func (d *Deferral) Read(i int, sigma float64, noise *rng.Stream) bool {
 	b := math.Float32bits(d.margins[i])
@@ -408,6 +481,22 @@ func (d *Deferral) Read(i int, sigma float64, noise *rng.Stream) bool {
 		return false
 	case decOne:
 		return true
+	case decDraws:
+		r := noise.Float64()
+		switch lo, hi := windowOf(b); {
+		case r < lo:
+			d.stats.WindowReads++
+			return true
+		case r >= hi:
+			d.stats.WindowReads++
+			return false
+		}
+		// Inside the window: the cell's bracket, still inside the band,
+		// decides this same draw.
+		g, base := d.groupOf(b), d.base(i)
+		lo, hi := d.marginBracket(g, base)
+		plo, phi := mathx.PhiOver(lo, hi, sigma)
+		return d.drawRead(i, g, base, plo, phi, r, sigma)
 	}
 	g, base := d.groupOf(b), d.base(i)
 	lo, hi := d.marginBracket(g, base)
@@ -420,11 +509,11 @@ func (d *Deferral) Read(i int, sigma float64, noise *rng.Stream) bool {
 		return false
 	case -6*sigma <= lo && hi <= 6*sigma &&
 		float64(nor.MarginProgrammed) < lo && hi < float64(nor.MarginErased):
-		r := noise.Float64()
-		if one, ok := mathx.NormalDrawOver(r, lo, hi, sigma); ok {
-			return one
+		plo, phi := mathx.PhiOver(lo, hi, sigma)
+		if w, ok := windowFor(plo, phi); ok {
+			d.margins[i] = math.Float32frombits(b | decDraws | w)
 		}
-		return mathx.NormalDraw(r, float64(d.materialize(i, g, base)), sigma)
+		return d.drawRead(i, g, base, plo, phi, noise.Float64(), sigma)
 	}
 	margin := float64(d.materialize(i, g, base))
 	switch {
@@ -438,6 +527,19 @@ func (d *Deferral) Read(i int, sigma float64, noise *rng.Stream) bool {
 		return false
 	}
 	return mathx.NormalDraw(noise.Float64(), margin, sigma)
+}
+
+// drawRead decides the read of deferred cell i whose draw r is taken,
+// from the Φ bounds [plo, phi] of its bracket (mathx.PhiOver) where
+// they can, and from the materialized margin otherwise.
+func (d *Deferral) drawRead(i int, g *deferGroup, base CellBase, plo, phi, r, sigma float64) bool {
+	switch {
+	case r < plo:
+		return true
+	case r >= phi:
+		return false
+	}
+	return mathx.NormalDraw(r, float64(d.materialize(i, g, base)), sigma)
 }
 
 // Flush materializes every deferred margin of the unit.
@@ -471,13 +573,34 @@ func (d *Deferral) Erase() {
 	d.reset()
 }
 
+// deferCell parks programmed cell i, at quantile position u, in group g
+// with id id.
+func (d *Deferral) deferCell(i int, g *deferGroup, id int, u float64) {
+	d.margins[i] = tagOf(id)
+	d.live++
+	d.stats.Deferred++
+	g.topU = max(g.topU, u)
+}
+
+// referenceMargin returns the margin the reference path stores for
+// programmed cell i under a pulse of pulseUs: the pulse minus the
+// cell's crossing time at its wear.
+func (d *Deferral) referenceMargin(i int, pulseUs, ageYears, tempF float64) float32 {
+	w := d.wear[i]
+	if w > 0 {
+		d.stats.Quantiles++
+	}
+	return nor.ClampMargin(pulseUs - d.model.crossingTau(d.base(i), w, ageYears, tempF))
+}
+
 // PartialErase applies a partial-erase pulse of pulseUs to the unit.
 // ageYears and tempF are the storage age and temperature factor the
 // reference crossing time carries (0 and 1 apply none, exactly). A
 // fully programmed cell's margin is stored outright when its group has
 // no quantile term or its quantile grid pins it, and deferred
 // otherwise. Wear and already metastable margins update eagerly, in the
-// reference path's cell order.
+// reference path's cell order. A cell whose wear value finds no group
+// (groupFor) is stored with the reference arithmetic.
 func (d *Deferral) PartialErase(pulseUs, ageYears, tempF float64) {
 	if d.live == 0 {
 		d.reset()
@@ -492,8 +615,8 @@ func (d *Deferral) PartialErase(pulseUs, ageYears, tempF float64) {
 			if margin = d.margins[i]; isTag(margin) {
 				// Still deferred: the pulse joins its chain through the
 				// pulse log, and the margin it moves voids its read
-				// decision.
-				d.margins[i] = math.Float32frombits(math.Float32bits(margin) &^ decMask)
+				// decision and draw window.
+				d.margins[i] = math.Float32frombits(math.Float32bits(margin) &^ (decMask | winMask))
 				carried = true
 				if programmed {
 					d.wear[i] += fullWear
@@ -508,27 +631,24 @@ func (d *Deferral) PartialErase(pulseUs, ageYears, tempF float64) {
 			// The reference path stores pulseUs − tau at the pre-pulse
 			// wear here.
 			g, id := d.groupFor(d.wear[i], groupsFrom, pulseUs, ageYears, tempF)
-			base := d.base(i)
-			v, stored := float32(0), false
 			switch {
+			case g == nil:
+				d.margins[i] = d.referenceMargin(i, pulseUs, ageYears, tempF)
 			case g.direct:
-				v, stored = nor.ClampMargin(pulseUs-g.tauOf(base, 0)), true
+				d.margins[i] = nor.ClampMargin(pulseUs - g.tauOf(d.base(i), 0))
 			case g.pinOn:
-				v, stored = g.pin.Pin(&g.env, base.U, func(q float64) float32 {
+				base := d.base(i)
+				v, pinned := g.pin.Pin(&g.env, base.U, func(q float64) float32 {
 					return nor.ClampMargin(pulseUs - g.tauOf(base, q))
 				})
-			}
-			if !stored && id >= maxGroups {
-				// No tag can name the group: compute the margin now.
-				v, stored = nor.ClampMargin(pulseUs-g.tauOf(base, d.exactQ(g, base.U))), true
-			}
-			if stored {
-				d.margins[i] = v
-			} else {
-				d.margins[i] = tagOf(id)
-				d.live++
-				d.stats.Deferred++
-				g.topU = max(g.topU, base.U)
+				if pinned {
+					d.margins[i] = v
+				} else {
+					d.deferCell(i, g, id, base.U)
+				}
+			default:
+				// Nothing pins here, so the deferral needs only U.
+				d.deferCell(i, g, id, d.baseU(i))
 			}
 			d.wear[i] += fullWear
 		case margin >= nor.MarginErased:

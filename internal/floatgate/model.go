@@ -49,6 +49,15 @@ func (m *Model) Base(segIndex, cellIndex int) CellBase {
 	return CellBase{TauBaseUs: tau, U: st.Float64Open()}
 }
 
+// BaseU returns Base(segIndex, cellIndex).U bit for bit at about half
+// the cost: the cell's stream skips the crossing time's normal draw
+// instead of evaluating it.
+func (m *Model) BaseU(segIndex, cellIndex int) float64 {
+	st := m.root.Split2Val(uint64(segIndex), uint64(cellIndex))
+	st.SkipNormal()
+	return st.Float64Open()
+}
+
 // ShiftUs returns F(w): the deterministic erase slowdown at wear w.
 func (m *Model) ShiftUs(wear float64) float64 {
 	if wear <= 0 {

@@ -65,6 +65,24 @@ func TestBaseDeterministic(t *testing.T) {
 	}
 }
 
+// TestBaseUMatchesBase: BaseU is Base's U bit for bit over whole
+// SmallNAND-sized blocks and NOR segments of two chips.
+func TestBaseUMatchesBase(t *testing.T) {
+	for _, seed := range []uint64{0xF1A5, 1000} {
+		m, err := NewModel(DefaultParams(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range []int{0, 1, 63} {
+			for cell := 0; cell < 32768; cell++ {
+				if got, want := m.BaseU(seg, cell), m.Base(seg, cell).U; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %#x cell (%d, %d): BaseU %v, Base.U %v", seed, seg, cell, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBaseVariesAcrossCells(t *testing.T) {
 	m := newTestModel(t)
 	seen := map[CellBase]bool{}

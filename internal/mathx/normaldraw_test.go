@@ -47,10 +47,11 @@ func TestNormalDrawAdversarialSweep(t *testing.T) {
 	}
 }
 
-// TestNormalDrawOverDecidesBracket: a narrow bracket decides a draw far
-// from Φ on it, leaves one between Φ at its ends undecided, and refuses
-// a reversed bracket or a non-positive sigma.
-func TestNormalDrawOverDecidesBracket(t *testing.T) {
+// TestPhiOverDecidesBracket: a narrow bracket's bounds decide a draw
+// far from Φ on it and leave one between Φ at its ends undecided, and a
+// reversed bracket or a non-positive sigma gets NaN bounds, which decide
+// no draw.
+func TestPhiOverDecidesBracket(t *testing.T) {
 	lo, hi := 0.1, 0.11
 	plo, phi := NormalCDF(lo, 0, 1), NormalCDF(hi, 0, 1)
 	for _, c := range []struct {
@@ -66,16 +67,19 @@ func TestNormalDrawOverDecidesBracket(t *testing.T) {
 		{0, lo, hi, -1, false, false},
 		{0, lo, hi, math.NaN(), false, false},
 	} {
-		if one, ok := NormalDrawOver(c.r, c.lo, c.hi, c.sig); one != c.one || ok != c.ok {
-			t.Errorf("NormalDrawOver(%v, %v, %v, %v) = %v, %v; want %v, %v", c.r, c.lo, c.hi, c.sig, one, ok, c.one, c.ok)
+		blo, bhi := PhiOver(c.lo, c.hi, c.sig)
+		if one, ok := c.r < blo, c.r < blo || c.r >= bhi; one != c.one || ok != c.ok {
+			t.Errorf("PhiOver(%v, %v, %v) = [%v, %v] decides draw %v as %v, %v; want %v, %v",
+				c.lo, c.hi, c.sig, blo, bhi, c.r, one, ok, c.one, c.ok)
 		}
 	}
 }
 
 // FuzzNormalDraw holds the Φ bound table to NormalCDF over arbitrary
-// inputs: NormalDraw(r, x, sigma) must equal r < NormalCDF(x, 0, sigma),
-// and whenever NormalDrawOver decides the bracket [x, x+|delta|] its
-// read must be the exact read at both ends and at the midpoint.
+// inputs: NormalDraw(r, x, sigma) must equal r < NormalCDF(x, 0, sigma);
+// PhiOver's bounds on the bracket [x, x+|delta|] must hold NormalCDF at
+// both ends and at the midpoint; and whenever they decide the draw r,
+// that read must be the exact read at those three margins.
 //
 //	go test ./internal/mathx/ -run '^$' -fuzz '^FuzzNormalDraw$' -fuzztime 20s -fuzzminimizetime 5s
 func FuzzNormalDraw(f *testing.F) {
@@ -100,14 +104,20 @@ func FuzzNormalDraw(f *testing.F) {
 			t.Fatalf("NormalDraw(%v, %v, %v) = %v, NormalCDF says %v", r, x, sigma, got, want)
 		}
 		hi := x + math.Abs(delta)
-		one, ok := NormalDrawOver(r, x, hi, sigma)
-		if !ok {
+		mid := math.Min(math.Max(x/2+hi/2, x), hi)
+		plo, phi := PhiOver(x, hi, sigma)
+		for _, m := range []float64{x, mid, hi} {
+			// A NaN bound compares false, and bounds nothing.
+			if p := NormalCDF(m, 0, sigma); plo > p || phi < p {
+				t.Fatalf("PhiOver(%v, %v, %v) = [%v, %v], but NormalCDF at %v is %v", x, hi, sigma, plo, phi, m, p)
+			}
+		}
+		if !(r < plo || r >= phi) {
 			return
 		}
-		mid := math.Min(math.Max(x/2+hi/2, x), hi)
 		for _, m := range []float64{x, mid, hi} {
-			if want := r < NormalCDF(m, 0, sigma); one != want {
-				t.Fatalf("NormalDrawOver(%v, %v, %v, %v) = %v, but NormalCDF at %v says %v", r, x, hi, sigma, one, m, want)
+			if want := r < NormalCDF(m, 0, sigma); (r < plo) != want {
+				t.Fatalf("PhiOver(%v, %v, %v) = [%v, %v] reads draw %v as %v, but NormalCDF at %v says %v", x, hi, sigma, plo, phi, r, r < plo, m, want)
 			}
 		}
 	})

@@ -85,23 +85,26 @@ func NormalDraw(r, x, sigma float64) bool {
 	return r < NormalCDF(x, 0, sigma)
 }
 
-// NormalDrawOver decides NormalDraw(r, x, sigma) for every x in [lo, hi]
-// at once, for a cell whose margin is known only to lie in that
-// bracket: Φ rises with x, so r below the table bound at lo reads 1 for
-// all of it, and r at or above the bound at hi reads 0. ok is false
-// when the bounds leave r undecided (then NormalDraw at the exact
-// margin decides), and also when sigma is not positive or lo > hi.
-func NormalDrawOver(r, lo, hi, sigma float64) (one, ok bool) {
+// PhiOver returns table bounds on Φ(x/sigma) over every x in [lo, hi],
+// for a cell whose margin is known only to lie in that bracket: Φ rises
+// with x, so plo, the lower table bound at lo, is at or below all of
+// it, and phi, the upper bound at hi, at or above. A draw r < plo reads
+// 1 (NormalDraw is true) for every margin in the bracket, and r >= phi
+// reads 0; between them NormalDraw at the exact margin decides. A bound
+// the table cannot give (an argument off it, sigma not positive,
+// lo > hi) is NaN, which no draw compares past.
+func PhiOver(lo, hi, sigma float64) (plo, phi float64) {
+	plo, phi = math.NaN(), math.NaN()
 	if !(sigma > 0 && lo <= hi) {
-		return false, false
+		return plo, phi
 	}
-	if plo, _, ok := phiBounds(erfcArg(lo, 0, sigma)); ok && r < plo {
-		return true, true
+	if b, _, ok := phiBounds(erfcArg(lo, 0, sigma)); ok {
+		plo = b
 	}
-	if _, phi, ok := phiBounds(erfcArg(hi, 0, sigma)); ok && r >= phi {
-		return false, true
+	if _, b, ok := phiBounds(erfcArg(hi, 0, sigma)); ok {
+		phi = b
 	}
-	return false, false
+	return plo, phi
 }
 
 // StdNormalQuantile returns Φ⁻¹(p) for p in (0,1) using the

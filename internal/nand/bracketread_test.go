@@ -21,6 +21,15 @@ import (
 // tell, but it evaluates about 32,900 quantiles per verify; the engine
 // evaluates about 450. A partial erase that bypassed the engine would
 // defer nothing, which the deferral count catches.
+//
+// The engine derives each deferred cell's base about once per verify:
+// U alone where it defers a cell in a worn group, the full base at the
+// first read that needs its bracket, and none at a later read its draw
+// window decides. Deriving full bases at every deferral and every
+// noisy read instead (about 170,000 per verify) reads the same bits
+// too; the engine derives about 100,000, about one for each of the
+// 98,304 programmed cells the verify touches, and decides about 37,000
+// reads from windows.
 func TestBracketDecidesNoisyReadsNAND(t *testing.T) {
 	codec := wmcode.Codec{Key: []byte("k")}
 	factory := counterfeit.FactoryConfig{
@@ -50,12 +59,19 @@ func TestBracketDecidesNoisyReadsNAND(t *testing.T) {
 			t.Fatalf("die %d: verdict %v", i+1, res.Verdict)
 		}
 		st := nand.DeferStats(a)
-		t.Logf("die %d: %d cells deferred, %d quantiles evaluated", i+1, st.Deferred, st.Quantiles)
+		t.Logf("die %d: %d cells deferred, %d quantiles evaluated, %d full bases derived, %d reads decided from a window",
+			i+1, st.Deferred, st.Quantiles, st.Bases, st.WindowReads)
 		if st.Quantiles >= 1000 {
 			t.Errorf("die %d: %d quantiles evaluated: deferred margins were computed instead of decided from brackets", i+1, st.Quantiles)
 		}
 		if st.Deferred < 10_000 {
 			t.Errorf("die %d: only %d cells deferred: the partial erases bypassed the engine", i+1, st.Deferred)
+		}
+		if st.Bases >= 115_000 {
+			t.Errorf("die %d: %d full cell bases derived: deferrals or windowed reads derived bases they do not need", i+1, st.Bases)
+		}
+		if st.WindowReads < 20_000 {
+			t.Errorf("die %d: only %d reads decided from a draw window", i+1, st.WindowReads)
 		}
 	}
 }

@@ -21,6 +21,8 @@ func DeferStats(a *Adapter) floatgate.DeferStats {
 		st := a.d.deferred[b].Stats()
 		s.Deferred += st.Deferred
 		s.Quantiles += st.Quantiles
+		s.Bases += st.Bases
+		s.WindowReads += st.WindowReads
 	}
 	return s
 }

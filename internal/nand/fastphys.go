@@ -16,14 +16,17 @@ import (
 // temperature factor of 1 (both exact), and the nominal read noise
 // ReadNoiseSigmaUs that Model.SampleRead uses. A block's engine reads
 // the adaptive-erase base cache once an adaptive max has built one and
-// derives each cell's base on the spot otherwise: a verification
-// partial-erases each block it touches once, so a per-block cache would
-// cost more memory than its time saves. The engines live beside the
-// device's cell store, and a Loader recycles them across the chips it
-// loads. All of it is a reorganization of the reference arithmetic —
-// results are bit-identical, pinned by the equivalence tests. The
-// reference per-cell loops in nand.go stay as the oracle, and only this
-// package's tests select them (export_test.go).
+// otherwise derives on the spot only what it needs: a worn cell's U
+// alone when the partial erase defers it, its full base at the first
+// read that needs its bracket, and none at a later read that its draw
+// window decides. A verification partial-erases each block it touches
+// once, so a per-block cache would cost more memory than its time
+// saves. The engines live beside the device's cell store, and a Loader
+// recycles them across the chips it loads. All of it is a
+// reorganization of the reference arithmetic — results are
+// bit-identical, pinned by the equivalence tests. The reference
+// per-cell loops in nand.go stay as the oracle, and only this package's
+// tests select them (export_test.go).
 
 // blockPhys returns the lazily-built immutable cell parameters of one
 // block: the CellBase cache and the U-ascending index order MaxTauOver

@@ -176,6 +176,19 @@ func (r *Stream) Normal() float64 {
 	}
 }
 
+// SkipNormal advances the stream exactly as Normal does, consuming the
+// same uniform pairs, rejected and accepted alike, without computing
+// the draw: for a caller that needs only what follows it.
+func (r *Stream) SkipNormal() {
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		if s := u*u + v*v; s > 0 && s < 1 {
+			return
+		}
+	}
+}
+
 // NormalAt returns a draw from Normal(mu, sigma^2).
 func (r *Stream) NormalAt(mu, sigma float64) float64 {
 	return mu + sigma*r.Normal()

@@ -172,6 +172,33 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
+// TestSkipNormalConsumesLikeNormal: SkipNormal leaves a stream exactly
+// where Normal does, over many split streams and over consecutive
+// draws, among them streams whose first uniform pair is rejected.
+func TestSkipNormalConsumesLikeNormal(t *testing.T) {
+	root := New(0x5EED)
+	rejectedFirst := 0
+	for key := uint64(0); key < 4096; key++ {
+		a, b := root.SplitVal(key), root.SplitVal(key)
+		probe := a
+		u, v := 2*probe.Float64()-1, 2*probe.Float64()-1
+		if s := u*u + v*v; !(s > 0 && s < 1) {
+			rejectedFirst++
+		}
+		for k := 0; k < 3; k++ {
+			a.Normal()
+			b.SkipNormal()
+			if a != b {
+				t.Fatalf("key %d, draw %d: SkipNormal left the stream at %+v, Normal at %+v", key, k, b, a)
+			}
+		}
+	}
+	// About 1 − π/4 of first pairs fall outside the unit disc.
+	if rejectedFirst < 500 {
+		t.Fatalf("only %d of 4096 streams rejected their first pair", rejectedFirst)
+	}
+}
+
 func TestNormalAt(t *testing.T) {
 	r := New(22)
 	const n = 100000

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -42,14 +43,14 @@ type hotPath struct {
 // -v` logs each row's reading. The throughput floors are rot guards,
 // about a third of what each row read on one core of a 2-CPU host when
 // they were set (miss 430–560 chips/s, miss-screen 200–310, miss-nand
-// 29.1–29.5 since NAND partial erases defer their quantiles): raw speed
-// tracks the runner, so a floor leaves it headroom and only proves the
-// benchmark did real verifications at about the speed the code has (a
-// NAND verify costs several NOR ones).
+// 35–49 since a deferred NAND cell derives its base about once): raw
+// speed tracks the runner, so a floor leaves it headroom and only
+// proves the benchmark did real verifications at about the speed the
+// code has (a NAND verify costs several NOR ones).
 var hotPaths = []hotPath{
 	{name: "miss", cacheEntries: -1, maxAllocs: 200, minChipsPerSec: 160},
 	{name: "miss-screen", cacheEntries: -1, screen: true, maxAllocs: 200, minChipsPerSec: 80},
-	{name: "miss-nand", cacheEntries: -1, screen: true, nand: true, maxAllocs: 100, minChipsPerSec: 9},
+	{name: "miss-nand", cacheEntries: -1, screen: true, nand: true, maxAllocs: 100, minChipsPerSec: 12},
 	{name: "hit", maxAllocs: 16},
 }
 
@@ -198,6 +199,44 @@ func TestVerifyScratchSurvivesGC(t *testing.T) {
 		if afterGC > 2*steady {
 			t.Errorf("%s: a verify after two GCs allocated %d B, over twice the steady %d B/op: scratch did not survive the GC", p.name, afterGC, steady)
 		}
+	}
+}
+
+// TestIdleBodyBufferBounded posts junk bodies through the real handler:
+// one past maxIdleBody, whose buffer must leave the free list, then one
+// the size of the largest batches in steady use (about 4.9 MB), whose
+// buffer must stay. Draining the list then finds the second and never
+// the first.
+func TestIdleBodyBufferBounded(t *testing.T) {
+	s, err := New(Config{Verifier: testVerifier(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	kept, dropped := 5_000_000, maxIdleBody+1
+	for _, n := range []int{dropped, kept} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/verify", bytes.NewReader(make([]byte, n))))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%d-byte junk body: status %d, want %d", n, rec.Code, http.StatusBadRequest)
+		}
+	}
+	var idle []*[]byte
+	found := false
+	for i := 0; i < 64; i++ {
+		bp := bodyScratch.Get()
+		idle = append(idle, bp)
+		if c := cap(*bp); c > maxIdleBody {
+			t.Errorf("an idle body buffer keeps %d bytes, over the %d bound", c, maxIdleBody)
+		} else if c >= kept {
+			found = true
+		}
+	}
+	for _, bp := range idle {
+		releaseBody(bp)
+	}
+	if !found {
+		t.Errorf("no idle body buffer kept the %d-byte body's capacity", kept)
 	}
 }
 

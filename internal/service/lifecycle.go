@@ -189,6 +189,15 @@ func (s *Server) beginRequest() bool {
 // allocation chain per request.
 var bodyScratch = freelist.New(func() *[]byte { b := make([]byte, 0, 64<<10); return &b }, 0)
 
+// maxIdleBody bounds the capacity an idle body buffer keeps: a buffer
+// a larger body grew is dropped for the collector, so one oversized
+// request does not pin its memory for the life of the process. The
+// largest bodies in steady use, batches holding a few recycled parts'
+// 1.7 MB chip files, reach about 4.9 MB and grow a buffer to about
+// 5.8 MB. The bound sits above them: regrowing a dropped buffer for
+// each such request leaves several times its size in garbage.
+const maxIdleBody = 8 << 20
+
 // readBody drains the request body under the configured cap into a
 // buffer from bodyScratch. On success the caller owns the buffer until
 // it passes it to releaseBody; the bytes must not be retained past it.
@@ -219,9 +228,12 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, erro
 	}
 }
 
-// releaseBody returns a body buffer, with whatever capacity it grew to,
-// to bodyScratch.
+// releaseBody returns a body buffer, with whatever capacity it grew to
+// up to maxIdleBody, to bodyScratch, and drops a larger one.
 func releaseBody(bp *[]byte) {
+	if cap(*bp) > maxIdleBody {
+		return
+	}
 	*bp = (*bp)[:0]
 	bodyScratch.Put(bp)
 }
