@@ -40,8 +40,8 @@ bench-registry:
 # admission -> body read -> sniff -> load -> physics verify -> encode)
 # measured single-core through the real handler, cache-miss and
 # cache-hit. Each miss row must clear its chips/s floor (miss 160,
-# miss-screen 80, miss-nand 12); the allocs/op ceilings are plain tests
-# (TestVerifyHotPathAllocs).
+# miss-screen 80, miss-nand 12, miss-reram 100); the allocs/op ceilings
+# are plain tests (TestVerifyHotPathAllocs).
 bench-hotpath:
 	$(GO) test -run xxx -bench BenchmarkVerifyHotPath -benchtime 50x ./internal/service/
 

@@ -44,7 +44,7 @@ type Controller struct {
 	// per-segment deferral engines; maxScratch keeps steady-state
 	// adaptive maxima allocation-free.
 	physRef    bool
-	phys       map[int]*segPhys
+	phys       []*segPhys
 	maxScratch floatgate.MaxTauScratch
 }
 
@@ -556,24 +556,24 @@ func (c *Controller) ReadWord(addr int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	geom := c.array.Geometry()
-	bits := geom.WordBits()
+	bits := c.array.Geometry().WordBits()
 	e := c.liveDeferral(seg)
-	cellBase := seg * geom.CellsPerSegment()
+	first := word * bits
+	margins, wear := c.array.CellSpan(seg)
+	margins, wear = margins[first:first+bits], wear[first:first+bits]
 	var v uint64
-	for b := 0; b < bits; b++ {
-		cell := geom.CellIndex(seg, word, b)
+	for b, m := range margins {
 		var one bool
-		margin := c.array.Margin(cell)
+		margin := float64(m)
 		switch {
 		case margin >= float64(nor.MarginErased):
 			one = true
 		case margin <= float64(nor.MarginProgrammed):
 			one = false
-		case e != nil && e.Deferred(cell-cellBase):
-			one = e.Read(cell-cellBase, c.model.ReadSigmaUs(c.array.Wear(cell)), c.noise)
+		case e != nil && e.Deferred(first+b):
+			one = e.Read(first+b, c.model.ReadSigmaUs(wear[b]), c.noise)
 		default:
-			one = c.model.SampleReadAt(margin, c.array.Wear(cell), c.noise)
+			one = c.model.SampleReadAt(margin, wear[b], c.noise)
 		}
 		if one {
 			v |= 1 << uint(b)

@@ -40,14 +40,14 @@ type segPhys struct {
 // segment's cached bases from the operations that need them, so an
 // erase alone computes none.
 func (c *Controller) segPhysFor(seg int) *segPhys {
+	if c.phys == nil {
+		c.phys = make([]*segPhys, c.array.Geometry().TotalSegments())
+	}
 	sp := c.phys[seg]
 	if sp == nil {
 		sp = new(segPhys)
 		margins, wear := c.array.CellSpan(seg)
 		sp.def.Bind(c.model, seg, margins, wear)
-		if c.phys == nil {
-			c.phys = make(map[int]*segPhys)
-		}
 		c.phys[seg] = sp
 	}
 	return sp
@@ -56,6 +56,9 @@ func (c *Controller) segPhysFor(seg int) *segPhys {
 // liveDeferral returns the segment's engine when the segment has
 // deferred margins, nil otherwise, so concrete-only paths skip it.
 func (c *Controller) liveDeferral(seg int) *floatgate.Deferral {
+	if seg >= len(c.phys) {
+		return nil
+	}
 	if sp := c.phys[seg]; sp != nil && sp.def.Live() > 0 {
 		return &sp.def
 	}
@@ -65,7 +68,9 @@ func (c *Controller) liveDeferral(seg int) *floatgate.Deferral {
 // flushPhysics materializes every deferred margin in every segment.
 func (c *Controller) flushPhysics() {
 	for _, sp := range c.phys {
-		sp.def.Flush()
+		if sp != nil {
+			sp.def.Flush()
+		}
 	}
 }
 

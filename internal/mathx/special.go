@@ -1,6 +1,7 @@
 // Package mathx supplies the numerical routines the physics model and the
-// evaluation harness need beyond the standard library: normal and gamma
-// distribution functions (CDFs, quantiles), the regularized incomplete
+// evaluation harness need beyond the standard library: normal, logistic
+// and gamma distribution functions (CDFs, quantiles, and the bound
+// tables that decide a noisy read's draw), the regularized incomplete
 // gamma function, and small statistics helpers (summaries, quantiles,
 // histograms). Everything is pure Go on top of package math.
 package mathx
@@ -370,14 +371,79 @@ func lgammaPlus1(a float64) float64 {
 	return lg
 }
 
-// Logistic returns the standard logistic sigmoid 1/(1+e^{-x}).
-func Logistic(x float64) float64 {
-	if x >= 0 {
-		e := math.Exp(-x)
-		return 1 / (1 + e)
+// LogisticCDF returns 1/(1+e^{−x/sigma}), the CDF of a logistic
+// distribution of scale sigma at x. LogisticDraw decides the same
+// value, so the two never differ.
+func LogisticCDF(x, sigma float64) float64 {
+	return logisticAt(-x / sigma)
+}
+
+// logisticAt is LogisticCDF as a function of t = −x/sigma. It falls
+// as t rises.
+func logisticAt(t float64) float64 { return 1 / (1 + math.Exp(t)) }
+
+// The bound table behind LogisticDraw: logTable[j] = logisticAt(t_j) at
+// the dyadic points t_j = j·logStep − logTMax, every one an exact
+// float64, built once at package init from the same logisticAt
+// LogisticCDF calls. Past +logTMax the last entry, below 2^-53, bounds
+// every t from above, and past −logTMax the first, which rounds to 1,
+// bounds every t from below.
+const (
+	logStepLog2 = 5
+	logStep     = 1.0 / (1 << logStepLog2)
+	logTMax     = 40
+	logPoints   = 2*logTMax*(1<<logStepLog2) + 1
+
+	// logPad widens each bound relative to the table entry, as phiPad
+	// does: math.Exp is accurate to about one ulp and rising, so a
+	// computed logisticAt(t) for t in [t_j, t_j+1] lies within
+	// [logTable[j+1], logTable[j]] widened by far less than this.
+	logPad = 1e-12
+)
+
+var logTable = func() *[logPoints]float64 {
+	var tab [logPoints]float64
+	for j := range tab {
+		tab[j] = logisticAt(float64(j)*logStep - logTMax)
 	}
-	e := math.Exp(x)
-	return e / (1 + e)
+	return &tab
+}()
+
+// LogisticDraw reports whether the uniform draw r falls below the
+// logistic CDF at x, exactly r < LogisticCDF(x, sigma), for any r, x and
+// sigma: a noisy ReRAM read of a cell at margin x reads HRS when it
+// does. Like NormalDraw, it decides the draw from two bounds around
+// t = −x/sigma, and evaluates math.Exp only when r lands between them,
+// or when t is NaN or infinite. Inside the table the bounds are the
+// entries of the grid interval that holds t, checked against its grid
+// points rather than trusted from the rounded index; past either end
+// they are the end entry and 0 or 1, which bound every computed value.
+// One function, not a bounds helper: the call cost a fifth of the draw.
+func LogisticDraw(r, x, sigma float64) bool {
+	t := -x / sigma
+	var lo, hi float64
+	f := (t + logTMax) * (1 << logStepLog2)
+	switch {
+	case f >= 0 && f < logPoints-1:
+		j := int(f)
+		if tj := float64(j)*logStep - logTMax; !(tj <= t && t <= tj+logStep) {
+			return r < logisticAt(t)
+		}
+		lo, hi = logTable[j+1]*(1-logPad), logTable[j]*(1+logPad)
+	case t >= logTMax && t <= math.MaxFloat64:
+		lo, hi = 0, logTable[logPoints-1]*(1+logPad)
+	case t < -logTMax && t >= -math.MaxFloat64:
+		lo, hi = logTable[0]*(1-logPad), 1
+	default:
+		return r < logisticAt(t)
+	}
+	if r < lo {
+		return true
+	}
+	if r >= hi {
+		return false
+	}
+	return r < logisticAt(t)
 }
 
 // Clamp limits v to the closed interval [lo, hi].

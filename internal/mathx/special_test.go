@@ -179,10 +179,11 @@ func TestQuickGammaQuantileMonotone(t *testing.T) {
 }
 
 func TestLogistic(t *testing.T) {
-	almost(t, Logistic(0), 0.5, 1e-15, "logistic(0)")
-	almost(t, Logistic(1000), 1, 1e-15, "logistic(+inf)")
-	almost(t, Logistic(-1000), 0, 1e-15, "logistic(-inf)")
-	almost(t, Logistic(2)+Logistic(-2), 1, 1e-14, "symmetry")
+	almost(t, LogisticCDF(0, 1), 0.5, 1e-15, "logistic(0)")
+	almost(t, LogisticCDF(1000, 1), 1, 1e-15, "logistic(+inf)")
+	almost(t, LogisticCDF(-1000, 1), 0, 1e-15, "logistic(-inf)")
+	almost(t, LogisticCDF(2, 1)+LogisticCDF(-2, 1), 1, 1e-14, "symmetry")
+	almost(t, LogisticCDF(1, 0.5), LogisticCDF(2, 1), 0, "scale")
 }
 
 func TestClamp(t *testing.T) {

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/flashmark/flashmark/internal/mathx"
 	"github.com/flashmark/flashmark/internal/rng"
 )
 
@@ -123,6 +124,28 @@ type Model struct {
 	base    rng.Stream // never advanced; split per cell
 	sectors [][]cellParam
 	cells   int // per sector
+
+	// pow memoizes the conditioning power (wear/1000)^CondPower of the
+	// last few wear values TauAt saw, keyed on their bits: a sector's
+	// cells share a handful of wear values (a watermark sector
+	// alternates two), so a partial erase evaluates math.Pow about once
+	// per value, not once per cell. pows counts the evaluations.
+	pow     [powMemo]powEntry
+	powNext int
+	pows    int
+}
+
+// powMemo is the number of wear values the conditioning-power memo
+// holds: two to four cover the distinct wear values of any sector an
+// imprint or a recycling history leaves, and a crafted chip file with
+// more pays one evaluation per miss, as without the memo.
+const powMemo = 4
+
+// powEntry is one memoized conditioning power. The zero value is a
+// true entry, for wear +0: CondPower is positive, so its power is +0.
+type powEntry struct {
+	wear uint64 // math.Float64bits of the wear
+	pow  float64
 }
 
 // NewModel builds the physics model for a die seed.
@@ -168,17 +191,36 @@ func (m *Model) TauAt(sector, i int, wear, ageYears float64) float64 {
 	p := m.params
 	tau := cp.tauBase + p.DriftUsPerYear*ageYears
 	if wear > 0 {
-		tau += p.CondCoefUs * cp.cond * math.Pow(wear/1000, p.CondPower)
+		// Go multiplies left to right, so the power can be computed
+		// apart and the product keeps every bit.
+		tau += p.CondCoefUs * cp.cond * m.condPow(wear)
 	}
 	return tau
 }
 
+// condPow returns math.Pow(wear/1000, CondPower), from the memo when it
+// holds wear and evaluated into its oldest entry otherwise.
+func (m *Model) condPow(wear float64) float64 {
+	key := math.Float64bits(wear)
+	for i := range m.pow {
+		if e := &m.pow[i]; e.wear == key {
+			return e.pow
+		}
+	}
+	m.pows++
+	v := math.Pow(wear/1000, m.params.CondPower)
+	m.pow[m.powNext] = powEntry{wear: key, pow: v}
+	m.powNext = (m.powNext + 1) % powMemo
+	return v
+}
+
 // SampleRead samples a metastable cell at the given margin (µs past
 // its crossing point): the read-disturb channel of the paper's sensing
-// step, drawn from the device noise stream.
+// step. It takes one draw from the device noise stream and reads HRS
+// with probability mathx.LogisticCDF(margin, ReadNoiseSigmaUs), decided
+// from the logistic bound table.
 func (m *Model) SampleRead(margin float64, noise *rng.Stream) bool {
-	pHRS := 1 / (1 + math.Exp(-margin/m.params.ReadNoiseSigmaUs))
-	return noise.Float64() < pHRS
+	return mathx.LogisticDraw(noise.Float64(), margin, m.params.ReadNoiseSigmaUs)
 }
 
 // Worn reports whether a cell's conditioning wear exceeds the

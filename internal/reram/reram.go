@@ -256,12 +256,11 @@ func (d *Device) PartialEraseSegment(addr int, pulse time.Duration) error {
 		wasLRS := margin < 0
 		switch {
 		case margin <= nor.MarginProgrammed:
-			tau := d.tauAt(sector, i, wear[i])
-			d.cells.SetMargin(sector*d.geom.CellsPerSegment()+i, pulseUs-tau)
+			margins[i] = nor.ClampMargin(pulseUs - d.tauAt(sector, i, wear[i]))
 		case margin >= nor.MarginErased:
 			// stays HRS
 		default:
-			d.cells.SetMargin(sector*d.geom.CellsPerSegment()+i, float64(margin)+pulseUs)
+			margins[i] = nor.ClampMargin(float64(margin) + pulseUs)
 		}
 		wear[i] += d.model.ResetWear(wasLRS)
 	}

@@ -22,35 +22,39 @@ import (
 
 // hotPath is one request path: its server's verdict cache size
 // (negative turns the cache off, as on a miss), whether the recycling
-// screen is on, whether it posts a NAND chip instead of a NOR one, its
-// hard allocs/op ceiling, and its benchmark's throughput floor.
+// screen is on, the backend of the chip it posts ("nand" or "reram";
+// empty posts a NOR one), its hard allocs/op ceiling, and its
+// benchmark's throughput floor.
 type hotPath struct {
 	name           string
 	cacheEntries   int
 	screen         bool
-	nand           bool
+	backend        string
 	maxAllocs      float64
 	minChipsPerSec float64
 }
 
 // hotPaths are the request paths. miss-screen is a miss with the
 // recycling screen on, as fmverifyd runs by default (-recycling-screen);
-// miss-nand is the same for a NAND chip; the other rows use the
-// package's test verifier, which leaves it off. The allocation profile
-// is deterministic, so any excess is a lifecycle regression — a dropped
-// pool, a reflection encoder creeping back in — not runner noise; the
-// headroom is for stdlib drift. `go test -run TestVerifyHotPathAllocs
-// -v` logs each row's reading. The throughput floors are rot guards,
-// about a third of what each row read on one core of a 2-CPU host when
-// they were set (miss 430–560 chips/s, miss-screen 200–310, miss-nand
-// 35–49 since a deferred NAND cell derives its base about once): raw
-// speed tracks the runner, so a floor leaves it headroom and only
-// proves the benchmark did real verifications at about the speed the
-// code has (a NAND verify costs several NOR ones).
+// miss-nand and miss-reram are the same for a NAND and a ReRAM chip;
+// the other rows use the package's test verifier, which leaves it off.
+// The allocation profile is deterministic, so any excess is a lifecycle
+// regression — a dropped pool, a reflection encoder creeping back in —
+// not runner noise; the headroom is for stdlib drift. `go test -run
+// TestVerifyHotPathAllocs -v` logs each row's reading. The throughput
+// floors are rot guards, about a third of what each row read on one
+// core of a 2-CPU host when they were set (miss 430–560 chips/s,
+// miss-screen 200–310, miss-nand 35–49 since a deferred NAND cell
+// derives its base about once, miss-reram 250–470 since the conditioning
+// power is evaluated once per wear value and logistic reads are decided
+// from a bound table): raw speed tracks the runner, so a floor leaves
+// it headroom and only proves the benchmark did real verifications at
+// about the speed the code has (a NAND verify costs several NOR ones).
 var hotPaths = []hotPath{
 	{name: "miss", cacheEntries: -1, maxAllocs: 200, minChipsPerSec: 160},
 	{name: "miss-screen", cacheEntries: -1, screen: true, maxAllocs: 200, minChipsPerSec: 80},
-	{name: "miss-nand", cacheEntries: -1, screen: true, nand: true, maxAllocs: 100, minChipsPerSec: 12},
+	{name: "miss-nand", cacheEntries: -1, screen: true, backend: "nand", maxAllocs: 100, minChipsPerSec: 12},
+	{name: "miss-reram", cacheEntries: -1, screen: true, backend: "reram", maxAllocs: 100, minChipsPerSec: 100},
 	{name: "hit", maxAllocs: 16},
 }
 
@@ -115,9 +119,14 @@ func newHotDriver(tb testing.TB, p hotPath) *hotDriver {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	chip := chipBytes(tb, counterfeit.ClassGenuineAccept, 0xB001, 9001)
-	if p.nand {
+	var chip []byte
+	switch p.backend {
+	case "nand":
 		chip = nandChipBytes(tb, counterfeit.ClassGenuineAccept, 0xB002, 9002)
+	case "reram":
+		chip = reramChipBytes(tb, counterfeit.ClassGenuineAccept, 0xB003, 9003)
+	default:
+		chip = chipBytes(tb, counterfeit.ClassGenuineAccept, 0xB001, 9001)
 	}
 	body := &rewindReader{data: chip}
 	req := httptest.NewRequest(http.MethodPost, "/v1/verify", nil)
@@ -161,8 +170,9 @@ func TestVerifyHotPathAllocs(t *testing.T) {
 	}
 }
 
-// TestVerifyScratchSurvivesGC: the chip loaders and body buffers a miss
-// reuses must outlive a garbage collection. Two GCs empty every
+// TestVerifyScratchSurvivesGC: on every screened miss row (NOR, NAND and
+// ReRAM), the chip loaders and body buffers a miss reuses must outlive
+// a garbage collection. Two GCs empty every
 // sync.Pool, so a verify right after them pays again for whatever
 // scratch a pool held. The loaders and bodies sit on free lists, so it
 // may allocate at most twice what a steady-state verify does;
@@ -173,7 +183,7 @@ func TestVerifyScratchSurvivesGC(t *testing.T) {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	for _, p := range hotPaths {
-		if p.name != "miss-screen" && p.name != "miss-nand" {
+		if !p.screen {
 			continue
 		}
 		d := newHotDriver(t, p)
@@ -237,6 +247,44 @@ func TestIdleBodyBufferBounded(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no idle body buffer kept the %d-byte body's capacity", kept)
+	}
+}
+
+// TestBodyGrowthDoubles: a body that outgrows its buffer doubles it, so
+// a body the size of the largest batches in steady use (about 4.9 MB),
+// read with no idle buffer to reuse, allocates under four times its
+// size in all. Growing by append's 1.25x steps allocated about 5.9x.
+func TestBodyGrowthDoubles(t *testing.T) {
+	s, err := New(Config{Verifier: testVerifier(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	// Hold every idle buffer, so the request starts from a fresh one.
+	var idle []*[]byte
+	for i := 0; i < max(64, runtime.GOMAXPROCS(0)); i++ {
+		idle = append(idle, bodyScratch.Get())
+	}
+	defer func() {
+		for _, bp := range idle {
+			releaseBody(bp)
+		}
+	}()
+	const n = 4_900_000
+	req := httptest.NewRequest(http.MethodPost, "/v1/verify", bytes.NewReader(make([]byte, n)))
+	rec := httptest.NewRecorder()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&ms)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("%d-byte junk body: status %d, want %d", n, rec.Code, http.StatusBadRequest)
+	}
+	allocated := ms.TotalAlloc - before
+	t.Logf("a %d-byte body allocated %d B (%.2fx)", n, allocated, float64(allocated)/n)
+	if allocated > 4*n {
+		t.Errorf("a %d-byte body allocated %d B, over four times its size", n, allocated)
 	}
 }
 

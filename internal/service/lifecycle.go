@@ -193,21 +193,27 @@ var bodyScratch = freelist.New(func() *[]byte { b := make([]byte, 0, 64<<10); re
 // a larger body grew is dropped for the collector, so one oversized
 // request does not pin its memory for the life of the process. The
 // largest bodies in steady use, batches holding a few recycled parts'
-// 1.7 MB chip files, reach about 4.9 MB and grow a buffer to about
-// 5.8 MB. The bound sits above them: regrowing a dropped buffer for
-// each such request leaves several times its size in garbage.
+// 1.7 MB chip files, reach about 4.9 MB and double a buffer to 8 MiB.
+// The bound keeps those: regrowing a dropped buffer for each such
+// request leaves several times its size in garbage.
 const maxIdleBody = 8 << 20
 
 // readBody drains the request body under the configured cap into a
 // buffer from bodyScratch. On success the caller owns the buffer until
 // it passes it to releaseBody; the bytes must not be retained past it.
+// A full buffer doubles, up to one byte past the cap (room for the
+// read that finds the end or the overflow), so a body of B bytes read
+// into a fresh buffer allocates under 4·B in all. The client's
+// Content-Length does not size it: the body is read before admission.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, error) {
 	bp := bodyScratch.Get()
 	buf := (*bp)[:0]
 	lr := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	for {
 		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+			grown := make([]byte, len(buf), min(max(2*int64(cap(buf)), 512), s.cfg.MaxBodyBytes+1))
+			copy(grown, buf)
+			buf = grown
 		}
 		n, err := lr.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]

@@ -15,8 +15,6 @@ import (
 	"github.com/flashmark/flashmark/internal/counterfeit"
 	"github.com/flashmark/flashmark/internal/device"
 	"github.com/flashmark/flashmark/internal/registry"
-	"github.com/flashmark/flashmark/internal/reram"
-	"github.com/flashmark/flashmark/internal/wmcode"
 )
 
 // The request lifecycle answers the same failure the same way on every
@@ -211,18 +209,7 @@ func FuzzHandler(f *testing.F) {
 		challengeEP
 	)
 	nor := chipBytes(f, counterfeit.ClassGenuineAccept, 0x7D1, 7401)
-	rr, err := counterfeit.Fabricate(counterfeit.ClassGenuineAccept, counterfeit.FactoryConfig{
-		Fab:   reram.DefaultFab(),
-		Codec: wmcode.Codec{Key: []byte(testKey)},
-	}, 0x7D2, 7402)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rr.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	rer := buf.Bytes()
+	rer := reramChipBytes(f, counterfeit.ClassGenuineAccept, 0x7D2, 7402)
 	fake := chipBytes(f, counterfeit.ClassUnmarked, 0x7D3, 7403)
 	pair, err := json.Marshal(BatchRequest{Chips: []json.RawMessage{nor, fake}})
 	if err != nil {

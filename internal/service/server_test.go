@@ -18,6 +18,7 @@ import (
 	"github.com/flashmark/flashmark/internal/floatgate"
 	"github.com/flashmark/flashmark/internal/mcu"
 	"github.com/flashmark/flashmark/internal/nand"
+	"github.com/flashmark/flashmark/internal/reram"
 	"github.com/flashmark/flashmark/internal/wmcode"
 )
 
@@ -38,6 +39,12 @@ func chipBytes(t testing.TB, class counterfeit.ChipClass, seed, die uint64) []by
 func nandChipBytes(t testing.TB, class counterfeit.ChipClass, seed, die uint64) []byte {
 	t.Helper()
 	return fabChipBytes(t, nand.Fab(nand.SmallNAND(), nand.SLCTiming(), floatgate.DefaultParams()), class, seed, die)
+}
+
+// reramChipBytes is chipBytes for a default ReRAM crossbar chip.
+func reramChipBytes(t testing.TB, class counterfeit.ChipClass, seed, die uint64) []byte {
+	t.Helper()
+	return fabChipBytes(t, reram.DefaultFab(), class, seed, die)
 }
 
 func fabChipBytes(t testing.TB, fab device.Fab, class counterfeit.ChipClass, seed, die uint64) []byte {

@@ -13,7 +13,7 @@ package vclock
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -57,50 +57,77 @@ const (
 )
 
 // Ledger accumulates virtual time per operation class. The zero value is
-// an empty ledger ready to use.
+// an empty ledger ready to use. It keeps one row per class charged, in
+// the order the classes were first charged: a device charges a handful
+// of classes, so finding a row is a short scan, and a charge writes no
+// map. Snapshot and Sub build their maps when asked.
 type Ledger struct {
-	byClass map[OpClass]time.Duration
-	byCount map[OpClass]int
+	rows []ledgerRow
+}
+
+// ledgerRow is one class's accumulated time and operation count.
+type ledgerRow struct {
+	class OpClass
+	d     time.Duration
+	n     int
+}
+
+// row returns class c's row, or nil when c was never charged.
+func (l *Ledger) row(c OpClass) *ledgerRow {
+	for i := range l.rows {
+		if l.rows[i].class == c {
+			return &l.rows[i]
+		}
+	}
+	return nil
 }
 
 // Charge attributes duration d to class c and returns d so callers can
 // charge and advance in one expression.
 func (l *Ledger) Charge(c OpClass, d time.Duration) time.Duration {
-	if l.byClass == nil {
-		l.byClass = make(map[OpClass]time.Duration)
-		l.byCount = make(map[OpClass]int)
+	r := l.row(c)
+	if r == nil {
+		l.rows = append(l.rows, ledgerRow{class: c})
+		r = &l.rows[len(l.rows)-1]
 	}
-	l.byClass[c] += d
-	l.byCount[c]++
+	r.d += d
+	r.n++
 	return d
 }
 
 // Of returns the accumulated time of class c.
-func (l *Ledger) Of(c OpClass) time.Duration { return l.byClass[c] }
+func (l *Ledger) Of(c OpClass) time.Duration {
+	if r := l.row(c); r != nil {
+		return r.d
+	}
+	return 0
+}
 
 // CountOf returns how many operations of class c were charged.
-func (l *Ledger) CountOf(c OpClass) int { return l.byCount[c] }
+func (l *Ledger) CountOf(c OpClass) int {
+	if r := l.row(c); r != nil {
+		return r.n
+	}
+	return 0
+}
 
 // Total returns the sum across all classes.
 func (l *Ledger) Total() time.Duration {
 	var t time.Duration
-	for _, d := range l.byClass {
-		t += d
+	for _, r := range l.rows {
+		t += r.d
 	}
 	return t
 }
 
 // Reset clears all accumulated charges.
-func (l *Ledger) Reset() {
-	l.byClass = nil
-	l.byCount = nil
-}
+func (l *Ledger) Reset() { l.rows = l.rows[:0] }
 
 // Snapshot returns a copy of the ledger's per-class totals.
 func (l *Ledger) Snapshot() map[OpClass]time.Duration {
-	out := make(map[OpClass]time.Duration, len(l.byClass))
-	for c, d := range l.byClass {
-		out[c] = d
+	out := make(map[OpClass]time.Duration, len(l.rows))
+	for _, r := range l.rows {
+		out[r.class] = r.d
 	}
 	return out
 }
@@ -109,9 +136,9 @@ func (l *Ledger) Snapshot() map[OpClass]time.Duration {
 // state and an earlier snapshot: the time spent since the snapshot.
 func (l *Ledger) Sub(earlier map[OpClass]time.Duration) map[OpClass]time.Duration {
 	out := make(map[OpClass]time.Duration)
-	for c, d := range l.byClass {
-		if diff := d - earlier[c]; diff != 0 {
-			out[c] = diff
+	for _, r := range l.rows {
+		if diff := r.d - earlier[r.class]; diff != 0 {
+			out[r.class] = diff
 		}
 	}
 	return out
@@ -119,14 +146,11 @@ func (l *Ledger) Sub(earlier map[OpClass]time.Duration) map[OpClass]time.Duratio
 
 // String renders the ledger as "class=duration" pairs in stable order.
 func (l *Ledger) String() string {
-	classes := make([]string, 0, len(l.byClass))
-	for c := range l.byClass {
-		classes = append(classes, string(c))
-	}
-	sort.Strings(classes)
-	parts := make([]string, 0, len(classes))
-	for _, c := range classes {
-		parts = append(parts, fmt.Sprintf("%s=%v(n=%d)", c, l.byClass[OpClass(c)], l.byCount[OpClass(c)]))
+	rows := slices.Clone(l.rows)
+	slices.SortFunc(rows, func(a, b ledgerRow) int { return strings.Compare(string(a.class), string(b.class)) })
+	parts := make([]string, 0, len(rows))
+	for _, r := range rows {
+		parts = append(parts, fmt.Sprintf("%s=%v(n=%d)", r.class, r.d, r.n))
 	}
 	return strings.Join(parts, " ")
 }
