@@ -7,8 +7,10 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# perfbench is its own module, which ./... skips.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 fmt:
 	gofmt -w .

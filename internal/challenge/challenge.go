@@ -46,9 +46,6 @@ type Policy struct {
 	// Reads is the odd majority-read count for the response probe
 	// (zero selects 5).
 	Reads int
-	// CalibrationSteps is the binary-search depth for the probe pulse
-	// (zero selects 12).
-	CalibrationSteps int
 }
 
 // DefaultNonce is the nonce used when the policy leaves it zero.
@@ -61,9 +58,6 @@ func (p Policy) withDefaults() Policy {
 	if p.Reads == 0 {
 		p.Reads = 5
 	}
-	if p.CalibrationSteps == 0 {
-		p.CalibrationSteps = 12
-	}
 	return p
 }
 
@@ -72,9 +66,6 @@ func (p Policy) Validate() error {
 	p = p.withDefaults()
 	if p.Reads%2 == 0 || p.Reads < 0 {
 		return fmt.Errorf("challenge: majority reads must be odd and positive, got %d", p.Reads)
-	}
-	if p.CalibrationSteps < 1 || p.CalibrationSteps > 32 {
-		return fmt.Errorf("challenge: calibration steps %d out of range [1,32]", p.CalibrationSteps)
 	}
 	return nil
 }
@@ -100,6 +91,9 @@ type Response struct {
 // fingerprintDomain separates challenge digests from every other
 // fingerprint domain in the registry.
 const fingerprintDomain = "flashmark-challenge/v1"
+
+// calibrationSteps is the binary-search depth for the probe pulse.
+const calibrationSteps = 12
 
 // Interrogate runs the challenge-response flow on a chip: program a
 // nonce-derived pattern into the probe segment, self-calibrate a
@@ -183,7 +177,7 @@ func Interrogate(dev device.Device, pol Policy) (Response, error) {
 		return ones, nil
 	}
 	lo, hi := time.Duration(0), hiPulse
-	for step := 0; step < pol.CalibrationSteps; step++ {
+	for step := 0; step < calibrationSteps; step++ {
 		mid := lo + (hi-lo)/2
 		ones, err := probe(mid)
 		if err != nil {

@@ -162,7 +162,6 @@ func TestPolicyValidate(t *testing.T) {
 	bad := []challenge.Policy{
 		{Reads: 4},
 		{Reads: -3},
-		{CalibrationSteps: 40},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -62,6 +62,12 @@ func (l *Loader) Load(data []byte) (device.Device, error) {
 	return d, nil
 }
 
+// Retained reports the most cells, or NAND blocks, one of its backend
+// loaders keeps for reuse: what an idle Loader pins.
+func (l *Loader) Retained() int {
+	return max(l.mcu.Retained(), l.nand.Retained(), l.reram.Retained())
+}
+
 // SplitBatch splits a batch body, {"chips":[...]} with every element a
 // canonical chip file (nor.ChipFileLen), into its elements without
 // running encoding/json's scanner over the tokens. Each element is

@@ -58,9 +58,6 @@ type NodeConfig struct {
 	// Dial opens the replication link to the follower — the
 	// fault-injection seam (nil selects net.Dial "tcp").
 	Dial func(addr string) (net.Conn, error)
-	// WrapConn wraps every accepted connection — the server-side
-	// fault-injection seam (nil leaves connections bare).
-	WrapConn func(net.Conn) net.Conn
 }
 
 func (c NodeConfig) withDefaults() NodeConfig {
@@ -151,9 +148,6 @@ func (n *Node) Serve(ln net.Listener) error {
 				return nil
 			}
 			return err
-		}
-		if n.cfg.WrapConn != nil {
-			c = n.cfg.WrapConn(c)
 		}
 		n.connsMu.Lock()
 		if n.closed.Load() {

@@ -28,17 +28,15 @@ type Calibration struct {
 
 // CalibrateOptions controls Calibrate.
 type CalibrateOptions struct {
-	// Pattern is the payload imprinted on the reference dice; nil selects
-	// a representative ASCII pattern covering the segment.
-	Pattern []uint64
 	// Sweep range and step; zero values select 18–45 µs in 0.5 µs steps.
 	SweepLo, SweepHi, SweepStep time.Duration
 	// Reads per extraction (odd); zero selects 1.
 	Reads int
-	// WindowFactor bounds the published window: points with
-	// BER <= WindowFactor*BestBER + 0.002 are inside. Zero selects 1.5.
-	WindowFactor float64
 }
+
+// windowFactor bounds the published window: points with
+// BER <= windowFactor*BestBER + 0.002 are inside.
+const windowFactor = 1.5
 
 // ReferenceWatermark returns a representative watermark: the repeating
 // upper-case ASCII text the paper uses, filling segWords words. Roughly
@@ -55,11 +53,11 @@ func ReferenceWatermark(segWords int) []uint64 {
 }
 
 // Calibrate determines the extraction window for a device family at a
-// given imprint cycle count by imprinting reference dice (one fabricated
-// per seed) and sweeping the extraction partial erase time. The returned
-// Points trace the Fig. 9 BER-vs-t_PE curve averaged over the dice. The
-// fabricator abstracts the family: pass mcu.Fab(part) for a NOR family
-// or nand.Fab(...) for a NAND one.
+// given imprint cycle count by imprinting ReferenceWatermark on reference
+// dice (one fabricated per seed) and sweeping the extraction partial
+// erase time. The returned Points trace the Fig. 9 BER-vs-t_PE curve
+// averaged over the dice. The fabricator abstracts the family: pass
+// mcu.Fab(part) for a NOR family or nand.Fab(...) for a NAND one.
 func Calibrate(fab device.Fab, seeds []uint64, npe int, opts CalibrateOptions) (Calibration, error) {
 	if len(seeds) == 0 {
 		return Calibration{}, fmt.Errorf("core: calibration needs at least one reference die")
@@ -80,13 +78,6 @@ func Calibrate(fab device.Fab, seeds []uint64, npe int, opts CalibrateOptions) (
 	if lo <= 0 || hi <= lo || step <= 0 {
 		return Calibration{}, fmt.Errorf("core: bad sweep [%v, %v] step %v", lo, hi, step)
 	}
-	factor := opts.WindowFactor
-	if factor == 0 {
-		factor = 1.5
-	}
-	if factor < 1 {
-		return Calibration{}, fmt.Errorf("core: window factor %v < 1", factor)
-	}
 
 	var grid []time.Duration
 	for t := lo; t <= hi; t += step {
@@ -102,14 +93,7 @@ func Calibrate(fab device.Fab, seeds []uint64, npe int, opts CalibrateOptions) (
 		}
 		geom := dev.Geometry()
 		wordBits = geom.WordBits()
-		pattern := opts.Pattern
-		if pattern == nil {
-			pattern = ReferenceWatermark(geom.WordsPerSegment())
-		}
-		if len(pattern) != geom.WordsPerSegment() {
-			return Calibration{}, fmt.Errorf("core: calibration pattern has %d words, segment holds %d",
-				len(pattern), geom.WordsPerSegment())
-		}
+		pattern := ReferenceWatermark(geom.WordsPerSegment())
 		if err := ImprintSegment(dev, 0, pattern, ImprintOptions{NPE: npe, Accelerated: true}); err != nil {
 			return Calibration{}, err
 		}
@@ -131,7 +115,7 @@ func Calibrate(fab device.Fab, seeds []uint64, npe int, opts CalibrateOptions) (
 			cal.Best = t
 		}
 	}
-	limit := cal.BestBER*factor + 0.002
+	limit := cal.BestBER*windowFactor + 0.002
 	for _, p := range cal.Points {
 		if p.BER <= limit {
 			if cal.WindowLo == 0 {

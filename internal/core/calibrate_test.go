@@ -42,12 +42,6 @@ func TestCalibrateValidation(t *testing.T) {
 	if _, err := Calibrate(part, []uint64{1}, 1000, CalibrateOptions{SweepLo: 10 * time.Microsecond, SweepHi: 5 * time.Microsecond, SweepStep: time.Microsecond}); err == nil {
 		t.Error("inverted sweep accepted")
 	}
-	if _, err := Calibrate(part, []uint64{1}, 1000, CalibrateOptions{WindowFactor: 0.5}); err == nil {
-		t.Error("window factor < 1 accepted")
-	}
-	if _, err := Calibrate(part, []uint64{1}, 1000, CalibrateOptions{Pattern: []uint64{1}}); err == nil {
-		t.Error("short pattern accepted")
-	}
 }
 
 func TestCalibrateFindsWindow(t *testing.T) {

@@ -83,13 +83,14 @@ func TestVerifyContextDeadlineMidScreen(t *testing.T) {
 	}
 }
 
-// TestRunPopulationContextMatchesParallel pins byte-identical outcomes
-// between the context and plain parallel population runners.
+// TestRunPopulationContextMatchesParallel pins identical outcomes
+// between the serial runner and a never-canceled 2-worker context run,
+// and the canceled run's error.
 func TestRunPopulationContextMatchesParallel(t *testing.T) {
 	spec := PopulationSpec{ClassGenuineAccept: 2, ClassUnmarked: 1}
 	cfg := testFactory()
 	mk := func() *Verifier { return &Verifier{Codec: wmcode.Codec{Key: []byte("ctx-test-key")}} }
-	mA, oA, err := RunPopulationParallel(spec, cfg, mk(), 0xBA5E, 2)
+	mA, oA, err := RunPopulation(spec, cfg, mk(), 0xBA5E)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package counterfeit
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -329,7 +332,7 @@ func TestRunPopulationParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelM, parallelO, err := RunPopulationParallel(spec, testConfig(), testVerifier(), 0x9A11, 4)
+	parallelM, parallelO, err := RunPopulationContext(context.Background(), spec, testConfig(), testVerifier(), 0x9A11, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,18 +353,79 @@ func TestRunPopulationParallelMatchesSerial(t *testing.T) {
 func TestRunPopulationParallelRejectsAuditor(t *testing.T) {
 	v := testVerifier()
 	v.Audit = NewAuditor()
-	_, _, err := RunPopulationParallel(PopulationSpec{ClassUnmarked: 1}, testConfig(), v, 1, 4)
+	_, _, err := RunPopulationContext(context.Background(), PopulationSpec{ClassUnmarked: 1}, testConfig(), v, 1, 4)
 	if err == nil {
 		t.Fatal("auditor accepted in parallel run")
 	}
 }
 
+// TestRunPopulationParallelSingleWorkerDelegates: one worker runs the
+// jobs in order, so it accepts the auditor a parallel run refuses.
 func TestRunPopulationParallelSingleWorkerDelegates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("population run is slow")
 	}
-	_, o, err := RunPopulationParallel(PopulationSpec{ClassUnmarked: 1}, testConfig(), testVerifier(), 1, 1)
+	v := testVerifier()
+	v.Audit = NewAuditor()
+	_, o, err := RunPopulationContext(context.Background(), PopulationSpec{ClassUnmarked: 1}, testConfig(), v, 1, 1)
 	if err != nil || len(o) != 1 {
-		t.Fatalf("single-worker delegate failed: %v, %d outcomes", err, len(o))
+		t.Fatalf("single-worker run failed: %v, %d outcomes", err, len(o))
+	}
+}
+
+// TestRunPopulationMatchesUnpooledFabrication pins a population run end
+// to end: each outcome of a 4-worker run, wear-heavy recycled chips
+// included, must equal fabricating and verifying that job's chip by
+// hand, outside the worker pool.
+func TestRunPopulationMatchesUnpooledFabrication(t *testing.T) {
+	if testing.Short() {
+		t.Skip("population run is slow")
+	}
+	spec := PopulationSpec{
+		ClassGenuineAccept:   2,
+		ClassRecycled:        1,
+		ClassMetadataForgery: 1,
+		ClassUnmarked:        1,
+	}
+	cfg := testConfig()
+	mkVerifier := func() *Verifier {
+		v := testVerifier()
+		v.CheckRecycling = true
+		return v
+	}
+	const seedBase = 0xA4E7A
+	_, pooled, err := RunPopulationContext(context.Background(), spec, cfg, mkVerifier(), seedBase, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := populationJobs(spec, seedBase)
+	if len(pooled) != len(jobs) {
+		t.Fatalf("%d outcomes for %d jobs", len(pooled), len(jobs))
+	}
+	v := mkVerifier()
+	for i, j := range jobs {
+		dev, err := Fabricate(j.class, cfg, j.seed, j.die)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := v.Verify(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Outcome{Class: j.class, Verdict: res.Verdict, Result: res}
+		got := pooled[i]
+		if got.Class != want.Class || got.Verdict != want.Verdict {
+			t.Errorf("job %d (%s): verdict %s, want %s", i, j.class, got.Verdict, want.Verdict)
+		}
+		if fmt.Sprint(got.Result.DecodeErr) != fmt.Sprint(want.Result.DecodeErr) ||
+			fmt.Sprint(got.Result.FaultErr) != fmt.Sprint(want.Result.FaultErr) {
+			t.Errorf("job %d (%s): errors diverge: %v/%v vs %v/%v", i, j.class,
+				got.Result.DecodeErr, got.Result.FaultErr, want.Result.DecodeErr, want.Result.FaultErr)
+		}
+		got.Result.DecodeErr, want.Result.DecodeErr = nil, nil
+		got.Result.FaultErr, want.Result.FaultErr = nil, nil
+		if !reflect.DeepEqual(got.Result, want.Result) {
+			t.Errorf("job %d (%s): results diverge:\n got %+v\nwant %+v", i, j.class, got.Result, want.Result)
+		}
 	}
 }

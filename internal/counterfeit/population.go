@@ -151,42 +151,27 @@ func populationJobs(spec PopulationSpec, seedBase uint64) []populationJob {
 // chip, returning the confusion matrix and per-chip outcomes. Chip seeds
 // derive deterministically from seedBase, so runs are reproducible.
 func RunPopulation(spec PopulationSpec, cfg FactoryConfig, verifier *Verifier, seedBase uint64) (*ConfusionMatrix, []Outcome, error) {
-	return RunPopulationParallel(spec, cfg, verifier, seedBase, 1)
+	return RunPopulationContext(context.Background(), spec, cfg, verifier, seedBase, 1)
 }
 
-// RunPopulationParallel fabricates and verifies the population with up to
-// `workers` chips in flight (0 selects GOMAXPROCS) on the parallel
+// RunPopulationContext fabricates and verifies the population with up
+// to `workers` chips in flight (0 selects GOMAXPROCS) on the parallel
 // engine. Chips are independent, deterministically seeded simulations
 // and outcomes are collected by job index, so the matrix and outcome
 // list are identical for every worker count — only wall-clock time
-// improves. The verifier must not carry an Auditor when workers != 1:
-// duplicate detection is order-dependent and belongs in a serial pass.
-func RunPopulationParallel(spec PopulationSpec, cfg FactoryConfig, verifier *Verifier, seedBase uint64, workers int) (*ConfusionMatrix, []Outcome, error) {
-	return RunPopulationContext(context.Background(), spec, cfg, verifier, seedBase, workers)
-}
-
-// RunPopulationContext is RunPopulationParallel with cooperative
-// cancellation: once ctx is done no further chips are fabricated or
+// improves. Once ctx is done no further chips are fabricated or
 // verified, in-flight chips finish, and the run returns the
-// cancellation error. When ctx is never canceled the matrix and
-// outcomes are byte-identical to RunPopulationParallel.
+// cancellation error. The verifier must not carry an Auditor when
+// workers != 1: duplicate detection is order-dependent and belongs in
+// a serial pass.
 func RunPopulationContext(ctx context.Context, spec PopulationSpec, cfg FactoryConfig, verifier *Verifier, seedBase uint64, workers int) (*ConfusionMatrix, []Outcome, error) {
 	if verifier.Audit != nil && workers != 1 {
 		return nil, nil, fmt.Errorf("counterfeit: parallel population runs cannot use a die-ID auditor (order-dependent); run the audit pass serially")
 	}
 	jobs := populationJobs(spec, seedBase)
-	// Recycle device instances across jobs: Refabricate-capable backends
-	// reset in place instead of reconstructing, and a Result carries only
-	// value data, so a verified chip's device is free for the next job.
-	arenaCfg := cfg
-	var arena *deviceArena
-	if cfg.Fab != nil {
-		arena = newDeviceArena(cfg.Fab)
-		arenaCfg.Fab = arena.Fab
-	}
 	outcomes, err := parallel.MapContext(ctx, parallel.Pool{Workers: workers}, len(jobs), func(i int) (Outcome, error) {
 		j := jobs[i]
-		dev, err := Fabricate(j.class, arenaCfg, j.seed, j.die)
+		dev, err := Fabricate(j.class, cfg, j.seed, j.die)
 		if err != nil {
 			return Outcome{}, fmt.Errorf("counterfeit: fabricating %s chip (die %d): %w", j.class, j.die, err)
 		}
@@ -194,7 +179,6 @@ func RunPopulationContext(ctx context.Context, spec PopulationSpec, cfg FactoryC
 		if err != nil {
 			return Outcome{}, fmt.Errorf("counterfeit: verifying %s chip (die %d): %w", j.class, j.die, err)
 		}
-		arena.Recycle(dev)
 		return Outcome{Class: j.class, Verdict: res.Verdict, Result: res}, nil
 	})
 	if err != nil {

@@ -117,19 +117,6 @@ func As[T any](d Device) (T, bool) {
 	}
 }
 
-// Refabricator is the optional capability of backends that can return
-// to the pristine state a fresh construction with the given seed would
-// produce — in place, reusing their allocations. Population arenas use
-// it to recycle device instances instead of reconstructing them; the
-// contract is exact equivalence with a fresh fabrication. Unlike the
-// other capabilities, Refabricate must only be asserted on the
-// outermost value, never probed through As: a decorator chain carries
-// per-wrapper state no inner reset can see, so there is deliberately
-// no package-level helper that walks Unwrap for it.
-type Refabricator interface {
-	Refabricate(seed uint64) error
-}
-
 // Ager is the optional capability of backends that model unpowered
 // storage age (retention drift).
 type Ager interface {

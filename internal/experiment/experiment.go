@@ -118,8 +118,3 @@ func Run(id string, cfg Config) (*Artifact, error) {
 func us(d time.Duration) float64 {
 	return float64(d) / float64(time.Microsecond)
 }
-
-// usDur converts microseconds to a duration.
-func usDur(v float64) time.Duration {
-	return time.Duration(v * float64(time.Microsecond))
-}

@@ -30,7 +30,6 @@ type Controller struct {
 	locked   bool
 	ageYears float64
 	tempC    float64
-	stats    Stats
 	trace    *vclock.Trace
 
 	// baseCache memoizes the immutable per-cell manufacturing parameters
@@ -48,28 +47,11 @@ type Controller struct {
 	maxScratch floatgate.MaxTauScratch
 }
 
-// Stats counts controller activity, like the diagnostic counters of a
-// real flash controller driver.
-type Stats struct {
-	Erases         int // full segment/mass erase commands
-	PartialErases  int // erases terminated by emergency exit
-	AdaptiveErases int // erases terminated early after verify
-	ProgramWords   int // words programmed (single or block mode)
-	ReadWords      int // words read
-	EmergencyExits int // emergency exit commands issued
-	AccessErrors   int // rejected commands (lock violations, bad addresses)
-}
-
 // Config assembles a Controller.
 type Config struct {
 	Array  *nor.Array
 	Model  *floatgate.Model
 	Timing Timing
-	Clock  *vclock.Clock
-	Ledger *vclock.Ledger
-	// NoiseSeed seeds the read-noise stream. Reads of metastable cells
-	// (after a partial erase) are stochastic but reproducible.
-	NoiseSeed uint64
 }
 
 // referencePhysics is the physics path New gives a controller: false,
@@ -78,8 +60,10 @@ type Config struct {
 // counterfeit build internally on the per-cell reference path.
 var referencePhysics bool
 
-// New creates a controller. Array and Model are required; Clock and
-// Ledger default to fresh instances.
+// New creates a controller with a fresh clock and ledger. Array and
+// Model are required. Reads of metastable cells (after a partial erase)
+// draw from a noise stream seeded by the model's chip seed, so they are
+// stochastic but reproducible.
 func New(cfg Config) (*Controller, error) {
 	if cfg.Array == nil {
 		return nil, &Error{Op: "new", Addr: -1, Msg: "nil array"}
@@ -90,21 +74,13 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.Timing.Validate(); err != nil {
 		return nil, err
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = &vclock.Clock{}
-	}
-	ledger := cfg.Ledger
-	if ledger == nil {
-		ledger = &vclock.Ledger{}
-	}
 	return &Controller{
 		array:   cfg.Array,
 		model:   cfg.Model,
 		timing:  cfg.Timing,
-		clock:   clock,
-		ledger:  ledger,
-		noise:   rng.New(cfg.NoiseSeed ^ cfg.Model.Seed()),
+		clock:   &vclock.Clock{},
+		ledger:  &vclock.Ledger{},
+		noise:   rng.New(cfg.Model.Seed()),
 		locked:  true,
 		tempC:   25,
 		physRef: referencePhysics,
@@ -131,9 +107,6 @@ func (c *Controller) Clock() *vclock.Clock { return c.clock }
 
 // Ledger returns the controller's time ledger.
 func (c *Controller) Ledger() *vclock.Ledger { return c.ledger }
-
-// Stats returns a copy of the activity counters.
-func (c *Controller) Stats() Stats { return c.stats }
 
 // Locked reports whether the controller rejects erase/program commands.
 func (c *Controller) Locked() bool { return c.locked }
@@ -202,7 +175,6 @@ func (c *Controller) cellTau(seg, i int, wear float64) float64 {
 // Unlock accepts the FCTL password and enables erase/program commands.
 func (c *Controller) Unlock(key byte) error {
 	if key != UnlockKey {
-		c.stats.AccessErrors++
 		c.locked = true
 		return &Error{Op: "unlock", Addr: -1, Msg: "access violation: bad key"}
 	}
@@ -238,7 +210,6 @@ func (c *Controller) chargeOp(class vclock.OpClass, addr int, d time.Duration) {
 
 func (c *Controller) requireUnlocked(op string, addr int) error {
 	if c.locked {
-		c.stats.AccessErrors++
 		return &Error{Op: op, Addr: addr, Msg: "controller locked"}
 	}
 	return nil
@@ -247,7 +218,6 @@ func (c *Controller) requireUnlocked(op string, addr int) error {
 func (c *Controller) segmentOf(op string, addr int) (int, error) {
 	seg, err := c.array.Geometry().SegmentOfAddr(addr)
 	if err != nil {
-		c.stats.AccessErrors++
 		return 0, &Error{Op: op, Addr: addr, Msg: err.Error()}
 	}
 	return seg, nil
@@ -284,7 +254,6 @@ func (c *Controller) EraseSegment(addr int) error {
 		return err
 	}
 	c.eraseCells(seg)
-	c.stats.Erases++
 	c.chargeOp(vclock.OpErase, addr, c.timing.SegmentErase)
 	return nil
 }
@@ -301,13 +270,11 @@ func (c *Controller) MassEraseBank(addr int) error {
 	}
 	bank, err := geom.BankOfSegment(seg)
 	if err != nil {
-		c.stats.AccessErrors++
 		return &Error{Op: "mass-erase", Addr: addr, Msg: err.Error()}
 	}
 	for s := bank * geom.SegmentsPerBank; s < (bank+1)*geom.SegmentsPerBank; s++ {
 		c.eraseCells(s)
 	}
-	c.stats.Erases++
 	c.chargeOp(vclock.OpErase, addr, c.timing.MassErase)
 	return nil
 }
@@ -348,8 +315,6 @@ func (c *Controller) EraseSegmentAdaptive(addr int) (time.Duration, error) {
 		}
 	}
 	c.eraseCells(seg)
-	c.stats.AdaptiveErases++
-	c.stats.EmergencyExits++
 	pulse := time.Duration(maxTau*float64(time.Microsecond)) + c.timing.AdaptiveEraseSettle
 	if pulse > c.timing.SegmentErase {
 		pulse = c.timing.SegmentErase
@@ -369,7 +334,6 @@ func (c *Controller) PartialEraseSegment(addr int, pulse time.Duration) error {
 		return err
 	}
 	if pulse < 0 {
-		c.stats.AccessErrors++
 		return &Error{Op: "partial-erase", Addr: addr, Msg: "negative pulse duration"}
 	}
 	seg, err := c.segmentOf("partial-erase", addr)
@@ -379,7 +343,6 @@ func (c *Controller) PartialEraseSegment(addr int, pulse time.Duration) error {
 	if pulse >= c.timing.SegmentErase {
 		// A pulse at or beyond the nominal time is a plain erase.
 		c.eraseCells(seg)
-		c.stats.Erases++
 		c.chargeOp(vclock.OpErase, addr, c.timing.SegmentErase)
 		return nil
 	}
@@ -410,8 +373,6 @@ func (c *Controller) PartialEraseSegment(addr int, pulse time.Duration) error {
 			c.array.AddWear(cell, c.model.EraseWear(wasProgrammed))
 		}
 	}
-	c.stats.PartialErases++
-	c.stats.EmergencyExits++
 	c.chargeOp(vclock.OpPartialErase, addr, pulse)
 	return nil
 }
@@ -428,7 +389,6 @@ func (c *Controller) PartialProgramSegment(addr int, pulse time.Duration) error 
 		return err
 	}
 	if pulse < 0 {
-		c.stats.AccessErrors++
 		return &Error{Op: "partial-program", Addr: addr, Msg: "negative pulse duration"}
 	}
 	seg, err := c.segmentOf("partial-program", addr)
@@ -460,8 +420,6 @@ func (c *Controller) PartialProgramSegment(addr int, pulse time.Duration) error 
 		}
 		c.array.AddWear(cell, c.model.ProgramWear())
 	}
-	c.stats.ProgramWords += geom.WordsPerSegment()
-	c.stats.EmergencyExits++
 	c.chargeOp(vclock.OpProgram, addr, pulse)
 	return nil
 }
@@ -469,12 +427,10 @@ func (c *Controller) PartialProgramSegment(addr int, pulse time.Duration) error 
 func (c *Controller) wordAddr(op string, addr int) (seg, word int, err error) {
 	geom := c.array.Geometry()
 	if addr%geom.WordBytes != 0 {
-		c.stats.AccessErrors++
 		return 0, 0, &Error{Op: op, Addr: addr, Msg: "unaligned word address"}
 	}
 	seg, gerr := geom.SegmentOfAddr(addr)
 	if gerr != nil {
-		c.stats.AccessErrors++
 		return 0, 0, &Error{Op: op, Addr: addr, Msg: gerr.Error()}
 	}
 	word = (addr - seg*geom.SegmentBytes) / geom.WordBytes
@@ -515,7 +471,6 @@ func (c *Controller) ProgramWord(addr int, value uint64) error {
 		return err
 	}
 	c.programWordCells(seg, word, value)
-	c.stats.ProgramWords++
 	c.chargeOp(vclock.OpProgram, addr, c.timing.WordProgram)
 	return nil
 }
@@ -536,13 +491,11 @@ func (c *Controller) ProgramBlock(addr int, values []uint64) error {
 	}
 	geom := c.array.Geometry()
 	if word+len(values) > geom.WordsPerSegment() {
-		c.stats.AccessErrors++
 		return &Error{Op: "program-block", Addr: addr, Msg: "block crosses segment boundary"}
 	}
 	for i, v := range values {
 		c.programWordCells(seg, word+i, v)
 	}
-	c.stats.ProgramWords += len(values)
 	c.chargeOp(vclock.OpProgram, addr, c.timing.BlockProgramFirst+
 		time.Duration(len(values)-1)*c.timing.BlockProgramNext)
 	return nil
@@ -579,7 +532,6 @@ func (c *Controller) ReadWord(addr int) (uint64, error) {
 			v |= 1 << uint(b)
 		}
 	}
-	c.stats.ReadWords++
 	c.charge(vclock.OpRead, c.timing.WordRead)
 	return v, nil
 }
@@ -631,7 +583,6 @@ func (c *Controller) StressSegmentWords(addr int, values []uint64, n int, adapti
 		return err
 	}
 	if n < 0 {
-		c.stats.AccessErrors++
 		return &Error{Op: "stress", Addr: addr, Msg: "negative cycle count"}
 	}
 	if n == 0 {
@@ -643,7 +594,6 @@ func (c *Controller) StressSegmentWords(addr int, values []uint64, n int, adapti
 	}
 	geom := c.array.Geometry()
 	if len(values) != geom.WordsPerSegment() {
-		c.stats.AccessErrors++
 		return &Error{Op: "stress", Addr: addr, Msg: "values must cover the whole segment"}
 	}
 	sub := segmentCells{c: c, seg: seg, base: seg * geom.CellsPerSegment(), cells: geom.CellsPerSegment()}
@@ -658,17 +608,13 @@ func (c *Controller) StressSegmentWords(addr int, values []uint64, n int, adapti
 	device.ApplyStress(sub, one, n, wear)
 
 	// Time accounting.
-	c.stats.ProgramWords += n * len(values)
 	progTime := c.timing.BlockProgramFirst + time.Duration(len(values)-1)*c.timing.BlockProgramNext
 	c.charge(vclock.OpOverhead, time.Duration(2*n)*c.timing.OpSetup)
 	c.charge(vclock.OpProgram, time.Duration(n)*progTime)
 	if !adaptive {
-		c.stats.Erases += n
 		c.charge(vclock.OpErase, time.Duration(n)*c.timing.SegmentErase)
 		return nil
 	}
-	c.stats.AdaptiveErases += n
-	c.stats.EmergencyExits += n
 	meanTau := device.MeanAdaptiveTauUs(sub, one, n, wear)
 	pulse := time.Duration(meanTau*float64(time.Microsecond)) + c.timing.AdaptiveEraseSettle
 	if pulse > c.timing.SegmentErase {
@@ -694,6 +640,13 @@ func (s segmentCells) AddWear(i int, w float64)          { s.c.array.AddWear(s.b
 func (s segmentCells) SetErased(i int)                   { s.c.setCellMargin(s.seg, s.base+i, nor.MarginErased) }
 func (s segmentCells) SetProgrammed(i int)               { s.c.setCellMargin(s.seg, s.base+i, nor.MarginProgrammed) }
 func (s segmentCells) TauAt(i int, wear float64) float64 { return s.c.cellTau(s.seg, i, wear) }
+
+// SegmentWearSummary returns the min, mean and max wear across segment
+// seg. Wear is never deferred, so the array is read as it stands and
+// every deferred margin stays deferred.
+func (c *Controller) SegmentWearSummary(seg int) (minW, meanW, maxW float64, err error) {
+	return c.array.SegmentWearSummary(seg)
+}
 
 // WornCellCount returns how many cells of the segment containing addr
 // have exceeded the datasheet endurance — the reliability flag a

@@ -89,8 +89,9 @@ func TestLockProtocol(t *testing.T) {
 	if err := c.EraseSegment(0); err == nil {
 		t.Fatal("erase after re-lock should fail")
 	}
-	if got := c.Stats().AccessErrors; got != 4 {
-		t.Errorf("AccessErrors = %d, want 4", got)
+	// The four refused commands charged nothing: only the one erase.
+	if l := c.Ledger(); l.CountOf(vclock.OpErase) != 1 || l.CountOf(vclock.OpOverhead) != 1 || l.CountOf(vclock.OpProgram) != 0 {
+		t.Errorf("ledger = %s, want the one erase", l)
 	}
 }
 
@@ -367,14 +368,14 @@ func TestPartialEraseFullPulseIsErase(t *testing.T) {
 	if err := c.ProgramBlock(0, zeros); err != nil {
 		t.Fatal(err)
 	}
-	before := c.Stats().Erases
+	before := c.Ledger().CountOf(vclock.OpErase)
 	if err := c.PartialEraseSegment(0, c.Timing().SegmentErase); err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats().Erases != before+1 {
+	if c.Ledger().CountOf(vclock.OpErase) != before+1 {
 		t.Error("nominal-length pulse should count as a full erase")
 	}
-	if c.Stats().PartialErases != 0 {
+	if c.Ledger().CountOf(vclock.OpPartialErase) != 0 {
 		t.Error("nominal-length pulse should not count as partial")
 	}
 }
@@ -484,10 +485,10 @@ func TestStatsCounters(t *testing.T) {
 	_ = c.ProgramBlock(4, []uint64{1, 2})
 	_, _ = c.ReadWord(0)
 	_ = c.PartialEraseSegment(0, time.Microsecond)
-	s := c.Stats()
-	if s.Erases != 1 || s.ProgramWords != 3 || s.ReadWords != 1 ||
-		s.PartialErases != 1 || s.EmergencyExits != 1 {
-		t.Errorf("stats = %+v", s)
+	l := c.Ledger()
+	if l.CountOf(vclock.OpErase) != 1 || l.CountOf(vclock.OpProgram) != 2 || l.CountOf(vclock.OpRead) != 1 ||
+		l.CountOf(vclock.OpPartialErase) != 1 || l.CountOf(vclock.OpOverhead) != 4 {
+		t.Errorf("ledger = %s", l)
 	}
 }
 
@@ -631,6 +632,45 @@ func TestSegmentMeanTau(t *testing.T) {
 	if !(meanWorn > meanFresh && maxWorn > maxFresh) {
 		t.Errorf("tau should grow with stress: mean %v->%v max %v->%v",
 			meanFresh, meanWorn, maxFresh, maxWorn)
+	}
+}
+
+// TestSegmentWearSummaryKeepsDeferrals: wear is never deferred, so the
+// wear summary of a segment a partial erase left deferred equals the
+// one taken after a flush, and leaves the engine's deferrals in place.
+func TestSegmentWearSummaryKeepsDeferrals(t *testing.T) {
+	c := newTestController(t)
+	mustUnlock(t, c)
+	geom := c.array.Geometry()
+	const seg = 2
+	addr := seg * geom.SegmentBytes
+	values := make([]uint64, geom.WordsPerSegment())
+	for i := range values {
+		values[i] = 0x5443 // "TC"
+	}
+	if err := c.StressSegmentWords(addr, values, 40_000, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PartialEraseSegment(addr, 25*time.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	live := c.phys[seg].def.Live()
+	if live == 0 {
+		t.Fatal("the partial erase deferred no margin")
+	}
+	minW, meanW, maxW, err := c.SegmentWearSummary(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.phys[seg].def.Live(); got != live {
+		t.Fatalf("the wear summary flushed the engine: %d deferred margins, then %d", live, got)
+	}
+	fMin, fMean, fMax, err := c.Array().SegmentWearSummary(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if minW != fMin || meanW != fMean || maxW != fMax {
+		t.Errorf("summary %v/%v/%v, after a flush %v/%v/%v", minW, meanW, maxW, fMin, fMean, fMax)
 	}
 }
 

@@ -30,7 +30,7 @@ func twinControllers(t *testing.T, seed uint64) (fast, ref *Controller) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctl, err := New(Config{Array: arr, Model: model, Timing: MSP430Timing(), NoiseSeed: seed ^ 0xD1FF})
+		ctl, err := New(Config{Array: arr, Model: model, Timing: MSP430Timing()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,8 +182,8 @@ func TestFastPathMatchesReferenceUnderFuzz(t *testing.T) {
 			}
 		}
 		compareArrays(t, fast, ref, "final")
-		if fast.Stats() != ref.Stats() {
-			t.Fatalf("stats diverged: fast=%+v ref=%+v", fast.Stats(), ref.Stats())
+		if fast.Ledger().String() != ref.Ledger().String() {
+			t.Fatalf("ledgers diverged: fast=%s ref=%s", fast.Ledger(), ref.Ledger())
 		}
 		if fast.Clock().Now() != ref.Clock().Now() {
 			t.Fatalf("virtual time diverged: fast=%v ref=%v", fast.Clock().Now(), ref.Clock().Now())

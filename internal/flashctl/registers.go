@@ -81,7 +81,6 @@ func (r *RegisterFile) Read(reg Register) uint16 {
 // Write performs a password-checked register write.
 func (r *RegisterFile) Write(reg Register, value uint16) error {
 	if value&0xFF00 != FCTLPassword {
-		r.ctl.stats.AccessErrors++
 		r.ctl.Lock()
 		return &Error{Op: "fctl-write", Addr: -1, Msg: "access violation: bad register password"}
 	}
@@ -130,7 +129,6 @@ func (r *RegisterFile) DummyWrite(addr int, data uint64) error {
 	case r.fctl1&BitWRT != 0:
 		return r.ctl.ProgramWord(addr, data)
 	}
-	r.ctl.stats.AccessErrors++
 	return &Error{Op: "dummy-write", Addr: addr, Msg: "no operation selected in FCTL1"}
 }
 

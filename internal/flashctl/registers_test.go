@@ -125,18 +125,18 @@ func TestRegisterEmergencyExitPartialErase(t *testing.T) {
 	if err := r.ArmEmergencyExit(21 * time.Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	before := c.Stats().PartialErases
+	before := c.Ledger().CountOf(vclock.OpPartialErase)
 	if err := r.DummyWrite(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats().PartialErases != before+1 {
+	if c.Ledger().CountOf(vclock.OpPartialErase) != before+1 {
 		t.Fatal("EMEX dummy write did not perform a partial erase")
 	}
 	// The arm is one-shot: the next erase is a full one.
 	if err := r.DummyWrite(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats().PartialErases != before+1 {
+	if c.Ledger().CountOf(vclock.OpPartialErase) != before+1 {
 		t.Fatal("EMEX arm should be one-shot")
 	}
 	if err := r.ArmEmergencyExit(0); err == nil {

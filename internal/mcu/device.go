@@ -137,7 +137,7 @@ func PartAltNOR() Part {
 // Device is one simulated chip. A Device is not safe for concurrent use:
 // like the silicon it models, it executes one flash operation at a time.
 // Run independent devices on independent goroutines instead (see
-// counterfeit.RunPopulationParallel).
+// counterfeit.RunPopulationContext).
 type Device struct {
 	part Part
 	seed uint64
@@ -302,21 +302,8 @@ func (l *Loader) Load(data []byte) (*Device, error) {
 	return dev, nil
 }
 
-// Refabricate returns the device to the pristine state NewDevice(part,
-// seed) constructs, in place: every cell erased with zero wear, a fresh
-// physics model for the new die identity, and zeroed clock, ledger and
-// controller state — but reusing the cell array, which is the dominant
-// allocation.
-func (d *Device) Refabricate(seed uint64) error {
-	arr := d.ctl.Array()
-	arr.Reset()
-	nd, err := newDeviceWithArray(d.part, seed, arr)
-	if err != nil {
-		return err
-	}
-	*d = *nd
-	return nil
-}
+// Retained reports how many cells the loader keeps for reuse.
+func (l *Loader) Retained() int { return l.array.Cells() }
 
 // Age advances the chip's unpowered-storage age to the given total years
 // (monotone; used for watermark-longevity studies).
@@ -411,7 +398,7 @@ func (d *Device) NominalEraseTime() time.Duration { return d.part.Timing.Segment
 
 // SegmentWearSummary returns min/mean/max wear across segment seg.
 func (d *Device) SegmentWearSummary(seg int) (minW, meanW, maxW float64, err error) {
-	return d.ctl.Array().SegmentWearSummary(seg)
+	return d.ctl.SegmentWearSummary(seg)
 }
 
 // WornCellCount counts cells of the segment containing addr beyond the
@@ -439,5 +426,4 @@ var (
 	_ device.Tracer            = (*Device)(nil)
 	_ device.PartialProgrammer = (*Device)(nil)
 	_ device.WearInspector     = (*Device)(nil)
-	_ device.Refabricator      = (*Device)(nil)
 )

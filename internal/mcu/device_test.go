@@ -315,45 +315,3 @@ func TestLoaderWarmAllocs(t *testing.T) {
 		t.Errorf("warm Loader.Load allocates %v times per run, want O(10)", n)
 	}
 }
-
-// TestRefabricateMatchesNewDevice proves in-place refabrication is
-// exactly a fresh construction: same serialized state, same physics.
-func TestRefabricateMatchesNewDevice(t *testing.T) {
-	d := newSim(t, 7)
-	ctl := d.Controller()
-	if err := ctl.Unlock(flashctl.UnlockKey); err != nil {
-		t.Fatal(err)
-	}
-	values := make([]uint64, d.Part().Geometry.WordsPerSegment())
-	if err := ctl.StressSegmentWords(512, values, 500, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Age(1.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Refabricate(42); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewDevice(PartSmallSim(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Seed() != 42 || d.AgeYears() != 0 || d.Clock().Now() != 0 {
-		t.Fatalf("refabricated state not pristine: seed %d age %v clock %v",
-			d.Seed(), d.AgeYears(), d.Clock().Now())
-	}
-	if !bytes.Equal(savedBytes(t, d), savedBytes(t, fresh)) {
-		t.Fatal("refabricated device serializes differently from a fresh one")
-	}
-	// Same die identity physics: identical tau for identical cells.
-	if got, want := d.Controller().Model().TauAt(1, 0, 0), fresh.Controller().Model().TauAt(1, 0, 0); got != want {
-		t.Fatalf("tau diverged: %v vs %v", got, want)
-	}
-	// And the device still behaves: a full verify-style op sequence works.
-	if err := d.Unlock(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.EraseSegment(0); err != nil {
-		t.Fatal(err)
-	}
-}

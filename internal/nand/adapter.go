@@ -496,6 +496,12 @@ func (l *Loader) Load(data []byte) (*Adapter, error) {
 	return a, nil
 }
 
+// Retained reports how many cells, or blocks of page cursors and
+// deferral engines, the loader keeps for reuse, whichever is more.
+func (l *Loader) Retained() int {
+	return max(l.array.Cells(), cap(l.deferred), cap(l.cf.NextPage))
+}
+
 // Interface conformance (device.Device plus the wear and pass-read
 // capabilities; NAND models neither aging, temperature, traces, nor
 // partial programs yet).

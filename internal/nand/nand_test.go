@@ -582,6 +582,26 @@ func TestLoaderNullCursorsStartFresh(t *testing.T) {
 	}
 }
 
+// TestLoaderRetainedCountsRefusedCursors: a file whose page-cursor list
+// is far longer than its block count is refused, yet the Loader keeps
+// the decoded list's capacity, so Retained counts it.
+func TestLoaderRetainedCountsRefusedCursors(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Adapt(newNAND(t, 26)).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const n = 1 << 20
+	cursors := regexp.MustCompile(`"nextPage":\s*\[[^\]]*\]`)
+	data := cursors.ReplaceAll(buf.Bytes(), []byte(`"nextPage":[0`+strings.Repeat(",0", n-1)+`]`))
+	var l Loader
+	if _, err := l.Load(data); err == nil {
+		t.Fatal("a chip file with more page cursors than blocks loaded")
+	}
+	if got := l.Retained(); got < n {
+		t.Fatalf("Retained = %d after decoding %d page cursors", got, n)
+	}
+}
+
 // TestLoaderRecyclesPageFetch: a Loader hands each chip it loads the
 // same page buffer and served flags. Chips loaded back to back and
 // driven through the same ops end, and start, on the same page, so a

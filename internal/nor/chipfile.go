@@ -274,6 +274,15 @@ func (c *ChipArray) Decode(token json.RawMessage, want Geometry) (*Array, error)
 	return arr, nil
 }
 
+// Cells reports how many cells the array kept for reuse holds (0 before
+// the first Decode).
+func (c *ChipArray) Cells() int {
+	if c.arr == nil {
+		return 0
+	}
+	return c.arr.geom.TotalCells()
+}
+
 // chipArrayBytes extracts the base64 text from the array token. The
 // fast path slices an escape-free quoted token in place; escapes (never
 // written by SaveChip) or a non-string value go through encoding/json,

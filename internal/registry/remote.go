@@ -34,12 +34,14 @@ type Remote struct {
 	closed atomic.Bool
 }
 
+// remoteIdleConns caps the idle connections a Remote keeps between
+// calls.
+const remoteIdleConns = 2
+
 // RemoteOptions tunes a Remote. The zero value selects defaults.
 type RemoteOptions struct {
 	// Timeout bounds one round trip, dial included (0 selects 5s).
 	Timeout time.Duration
-	// Pool caps idle connections kept between calls (0 selects 2).
-	Pool int
 	// Now supplies wall time for deadlines (nil selects wallclock.Now).
 	Now func() time.Time
 	// Dial overrides the transport — the fault-injection seam tests use
@@ -50,9 +52,6 @@ type RemoteOptions struct {
 func (o RemoteOptions) withDefaults() RemoteOptions {
 	if o.Timeout == 0 {
 		o.Timeout = 5 * time.Second
-	}
-	if o.Pool == 0 {
-		o.Pool = 2
 	}
 	if o.Now == nil {
 		o.Now = wallclock.Now
@@ -76,7 +75,7 @@ func (e *OpError) Error() string { return "registry: remote: " + e.Msg }
 // made until the first call.
 func NewRemote(addr string, opts RemoteOptions) *Remote {
 	opts = opts.withDefaults()
-	return &Remote{addr: addr, opts: opts, idle: make(chan *remoteConn, opts.Pool)}
+	return &Remote{addr: addr, opts: opts, idle: make(chan *remoteConn, remoteIdleConns)}
 }
 
 var _ Store = (*Remote)(nil)

@@ -462,24 +462,6 @@ func (d *Device) WornCellCount(addr int) (int, error) {
 // EnduranceCycles returns the datasheet endurance.
 func (d *Device) EnduranceCycles() float64 { return d.params.EnduranceCycles }
 
-// Refabricate returns the device to the pristine state a fresh
-// construction with the given seed would produce, reusing the cell
-// array allocation.
-func (d *Device) Refabricate(seed uint64) error {
-	model, err := NewModel(d.params, seed, d.geom.TotalSegments(), d.geom.CellsPerSegment())
-	if err != nil {
-		return err
-	}
-	d.seed = seed
-	d.model = model
-	d.cells.Reset()
-	d.clock = &vclock.Clock{}
-	d.ledger = &vclock.Ledger{}
-	d.noise = rng.New(seed ^ 0x5245524D_52656164)
-	d.age = 0
-	return nil
-}
-
 // sectorCells adapts one sector to the shared stress kernel.
 type sectorCells struct {
 	d      *Device
@@ -498,11 +480,10 @@ func (s sectorCells) SetProgrammed(i int) {
 }
 func (s sectorCells) TauAt(i int, wear float64) float64 { return s.d.tauAt(s.sector, i, wear) }
 
-// Interface conformance: the full device surface plus the wear, aging
-// and refabrication capabilities.
+// Interface conformance: the full device surface plus the wear and
+// aging capabilities.
 var (
 	_ device.Device        = (*Device)(nil)
 	_ device.WearInspector = (*Device)(nil)
 	_ device.Ager          = (*Device)(nil)
-	_ device.Refabricator  = (*Device)(nil)
 )

@@ -191,33 +191,6 @@ func TestLoaderRejectsHugeGeometryCheaply(t *testing.T) {
 	}
 }
 
-// TestRefabricateEquivalence pins the arena contract: an in-place
-// refabrication is indistinguishable from a fresh construction.
-func TestRefabricateEquivalence(t *testing.T) {
-	worn, err := counterfeit.Fabricate(counterfeit.ClassRecycled, testFactory(), 0xBEEF, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := worn.(*reram.Device)
-	if err := d.Refabricate(0xF00D); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := reram.NewDevice(reram.DefaultGeometry(), reram.OxRAMTiming(), reram.DefaultParams(), 0xF00D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := d.Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("refabricated chip differs from a fresh construction")
-	}
-}
-
 // TestAgeMonotone pins the Ager contract and the drift direction:
 // storage age only grows, and aging lengthens RESET crossing times (a
 // longer adaptive erase of a programmed sector).

@@ -105,3 +105,6 @@ func (l *Loader) Load(data []byte) (*Device, error) {
 	}
 	return newDevice(cf.Geometry, cf.Timing, cf.Params, cf.Seed, model, arr, cf.AgeYears), nil
 }
+
+// Retained reports how many cells the loader keeps for reuse.
+func (l *Loader) Retained() int { return l.array.Cells() }

@@ -13,6 +13,7 @@ import (
 	"github.com/flashmark/flashmark/internal/counterfeit"
 	"github.com/flashmark/flashmark/internal/device"
 	"github.com/flashmark/flashmark/internal/freelist"
+	"github.com/flashmark/flashmark/internal/nor"
 	"github.com/flashmark/flashmark/internal/parallel"
 )
 
@@ -79,13 +80,30 @@ type BatchResponse struct {
 // own set of multi-megabyte cell arrays.
 var chipLoaders = freelist.New(func() *chipfile.Loader { return new(chipfile.Loader) }, 0)
 
+// maxIdleCells bounds what an idle loader keeps: the cells of the
+// largest catalog part, MSP430F5438 (2,097,152). A NAND or ReRAM chip
+// file names its own geometry, so one request can grow a loader's
+// arrays (and a NAND loader's per-block state) far past any real chip;
+// such a loader is dropped for the collector rather than kept for the
+// life of the process.
+var maxIdleCells = nor.MSP430F5438().TotalCells()
+
+// releaseLoader returns a loader to chipLoaders, or drops it when what
+// it keeps for reuse exceeds maxIdleCells.
+func releaseLoader(ld *chipfile.Loader) {
+	if ld.Retained() > maxIdleCells {
+		return
+	}
+	chipLoaders.Put(ld)
+}
+
 // withChip loads raw through a recycled dispatcher, applies the
 // configured decorator, and runs use on the device. The device aliases
 // the loader's storage, so the loader returns to chipLoaders only after
 // use does; use must not keep the device.
 func (s *Server) withChip(raw []byte, use func(device.Device) error) error {
 	ld := chipLoaders.Get()
-	defer chipLoaders.Put(ld)
+	defer releaseLoader(ld)
 	dev, err := ld.Load(raw)
 	if err != nil {
 		return &httpError{http.StatusBadRequest, err.Error()}

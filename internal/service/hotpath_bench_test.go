@@ -8,7 +8,13 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/flashmark/flashmark/internal/chipfile"
 	"github.com/flashmark/flashmark/internal/counterfeit"
+	"github.com/flashmark/flashmark/internal/device"
+	"github.com/flashmark/flashmark/internal/floatgate"
+	"github.com/flashmark/flashmark/internal/mcu"
+	"github.com/flashmark/flashmark/internal/nand"
+	"github.com/flashmark/flashmark/internal/reram"
 )
 
 // Hot-path benchmark for the full /v1/verify request lifecycle: HTTP
@@ -247,6 +253,63 @@ func TestIdleBodyBufferBounded(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no idle body buffer kept the %d-byte body's capacity", kept)
+	}
+}
+
+// TestIdleLoaderBounded posts chips through the real handler: a NAND
+// chip whose geometry is just over maxIdleCells, whose loader must leave
+// the free list, then the largest catalog part and a chip of every
+// backend the benchmarks post, each of whose loaders must stay.
+func TestIdleLoaderBounded(t *testing.T) {
+	s, err := New(Config{Verifier: testVerifier(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	nandFab := func(blocks int) device.Fab {
+		return nand.Fab(nand.Geometry{Blocks: blocks, PagesPerBlock: 8, PageBytes: 512}, nand.SLCTiming(), floatgate.DefaultParams())
+	}
+	// post verifies chip and reports the largest retention among the
+	// idle loaders it then finds.
+	post := func(name string, fab device.Fab) int {
+		t.Helper()
+		chip := fabChipBytes(t, fab, counterfeit.ClassUnmarked, 0x1D1E, 1)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/verify", bytes.NewReader(chip)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)
+		}
+		var idle []*chipfile.Loader
+		most := 0
+		for i := 0; i < 64; i++ {
+			ld := chipLoaders.Get()
+			idle = append(idle, ld)
+			if n := ld.Retained(); n > maxIdleCells {
+				t.Errorf("after %s, an idle loader keeps %d cells, over the %d bound", name, n, maxIdleCells)
+			} else {
+				most = max(most, n)
+			}
+		}
+		for _, ld := range idle {
+			releaseLoader(ld)
+		}
+		return most
+	}
+	// 65 SmallNAND-sized blocks: 2,129,920 cells.
+	post("a 65-block NAND chip", nandFab(65))
+	for _, c := range []struct {
+		name  string
+		fab   device.Fab
+		cells int
+	}{
+		{"MSP430F5438", mcu.Fab(mcu.PartMSP430F5438()), maxIdleCells},
+		{"FM-SIM16", mcu.Fab(mcu.PartSmallSim()), 65_536},
+		{"ReRAM", reram.DefaultFab(), 65_536},
+		{"SmallNAND", nandFab(8), 262_144},
+	} {
+		if most := post(c.name, c.fab); most < c.cells {
+			t.Errorf("after %s (%d cells), no idle loader kept its arrays: the most any keeps is %d", c.name, c.cells, most)
+		}
 	}
 }
 
